@@ -71,7 +71,7 @@ def sample_points(
         for _ in range(depth):
             y = hist[:, -1]
             left = np.hstack([hist, (y / s)[:, None]])
-            can_right = y >= second - 1e-15
+            can_right = y >= second
             right = np.hstack([hist[can_right], (1.0 - y[can_right] / s)[:, None]])
             hist = np.vstack([left, right])
             used = charge(hist.shape[0], used)
@@ -117,8 +117,8 @@ def separated_count(cloud: PointCloud, R: int, n: int, eps: float) -> int:
     """
     if n < 1:
         raise DomainError("n must be at least 1")
-    if eps <= 0:
-        raise DomainError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise DomainError(f"eps must be positive and finite, got {eps}")
     ends = _end_columns(cloud.depth, R, n)
     ext = _extend_forward(cloud, int(ends.max()) - cloud.depth)
     W = ext.shape[1]

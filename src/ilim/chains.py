@@ -27,7 +27,7 @@ from .inverse_limit import (
     salient_positions,
     shift,
 )
-from .maps import TentMap
+from .maps import TentMap, backward_tree
 
 _EDGE_TOL = 1e-12
 
@@ -58,13 +58,13 @@ class IntervalChain:
         }
 
 
-def _dedup(a: np.ndarray, tol: float = 1e-13) -> np.ndarray:
+def _dedup(a: np.ndarray) -> np.ndarray:
     a = np.sort(a)
     if a.size == 0:
         return a
     keep = np.empty(a.size, dtype=bool)
     keep[0] = True
-    np.greater(np.diff(a), tol, out=keep[1:])
+    np.greater(np.diff(a), _EDGE_TOL, out=keep[1:])
     return a[keep]
 
 
@@ -98,8 +98,8 @@ def build_chain(s: float, p: int, eps: float) -> IntervalChain:
     """
     if p < 0:
         raise DomainError("chain level must be nonnegative")
-    if eps <= 0:
-        raise DomainError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise DomainError(f"eps must be positive and finite, got {eps}")
     tent = TentMap(s)
     breaks = _base_grid(tent, eps)
     used = charge(breaks.size, 0)
@@ -178,16 +178,7 @@ def adjacency_ok(chain: IntervalChain) -> bool:
 def mandatory_ok(chain: IntervalChain, tol: float = 1e-9) -> bool:
     """Every point reaching the critical point within p steps is a breakpoint."""
     tent = TentMap(chain.slope)
-    layer = np.array([tent.critical])
-    required = [layer]
-    for _ in range(chain.index):
-        y = layer[layer <= tent.top + _EDGE_TOL]
-        left = y / tent.slope
-        right = 1.0 - y[y >= tent.second_image - _EDGE_TOL] / tent.slope
-        layer = _dedup(np.concatenate([left, right]))
-        layer = layer[(layer >= -_EDGE_TOL) & (layer <= tent.top + _EDGE_TOL)]
-        required.append(layer)
-    need = _dedup(np.concatenate(required))
+    need = np.concatenate(backward_tree(tent, chain.index, window=(0.0, tent.top)))
     breaks = np.asarray(chain.breakpoints)
     idx = np.searchsorted(breaks, need)
     lo = np.abs(breaks[np.maximum(idx - 1, 0)] - need)

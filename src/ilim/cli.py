@@ -10,6 +10,7 @@ preconditions, 3 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -17,7 +18,7 @@ import time
 
 from . import bowen, chains, inverse_limit, lap_entropy, renorm
 from .errors import ResourceCapError
-from .maps import QuadraticMap, TentMap
+from .maps import TOL, QuadraticMap, TentMap
 
 SCHEMA = "ilim/1"
 
@@ -82,7 +83,7 @@ def _cmd_entropy_lap(args):
         "n_used": est.n_used,
         "residual": est.residual,
     }
-    return out, {"dedup": 1e-12}, None
+    return out, {"critical_period": TOL}, None
 
 
 def _cmd_entropy_bowen(args):
@@ -215,7 +216,9 @@ def _cmd_block_entropy(args):
     return out, {}, None
 
 
+@functools.cache
 def _build_parsers() -> dict:
+    """The parser of every command, built on the first call and then reused."""
     table = {}
 
     def cmd(name, fn, configure):

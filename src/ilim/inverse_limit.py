@@ -20,11 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DepthError, DomainError, charge
-from .maps import TentMap
+from .errors import DepthError, DomainError
+from .maps import TentMap, backward_tree
 
 _TOL = 1e-9
-_KEY_DIGITS = 11
 
 
 @dataclass(frozen=True)
@@ -174,53 +173,24 @@ class FoldingPattern:
 def arc_records(s: float, n: int) -> list[PPointRecord]:
     """Fold points of the arc from the all-zeros endpoint to the n-th salient point.
 
-    Positions are the values of the deepest coordinate, in [0, critical]; a
-    position hit by several backward itineraries keeps the smallest forward
-    step count j, and its level is n - j.
+    Positions are the values of the deepest coordinate, in [0, critical], in
+    increasing order: the nodes of layers 0..n of the backward tree of the
+    critical point over [0, top].  A node of layer j first reaches the
+    critical point after j forward steps, and its level is n - j.
     """
     if n < 1:
         raise DomainError("arc index must be at least 1")
     tent = TentMap(s)
-    crit, top, second = tent.critical, tent.top, tent.second_image
-    minimal_j: dict[float, tuple[float, int]] = {}
-
-    def register(val: float, j: int) -> None:
-        key = round(val, _KEY_DIGITS)
-        if key not in minimal_j:
-            minimal_j[key] = (val, j)
-
-    layer = np.array([crit])
-    register(crit, 0)
-    seen = layer.copy()
-    used = 1
-    for j in range(1, n + 1):
-        y = layer[layer <= top + 1e-15]
-        left = y / s
-        right = 1.0 - y[y >= second - 1e-15] / s
-        cand = np.concatenate([left, right])
-        used = charge(cand.size, used)
-        cand = np.sort(cand)
-        if cand.size:
-            keep = np.empty(cand.size, dtype=bool)
-            keep[0] = True
-            np.greater(np.diff(cand), 1e-13, out=keep[1:])
-            cand = cand[keep]
-        if seen.size and cand.size:
-            idx = np.searchsorted(seen, cand)
-            near_r = np.abs(seen[np.minimum(idx, seen.size - 1)] - cand) <= 1e-13
-            near_l = np.abs(seen[np.maximum(idx - 1, 0)] - cand) <= 1e-13
-            cand = cand[~(near_l | near_r)]
-        for val in cand[cand <= crit + 1e-15]:
-            register(float(val), j)
-        layer = cand
-        seen = np.sort(np.concatenate([seen, cand]))
-    records = [
-        PPointRecord(position=val, level=n - j, preimage_index=j)
-        for val, j in minimal_j.values()
-        if val <= crit + 1e-15
+    layers = backward_tree(tent, n, window=(0.0, tent.top))
+    pos = np.concatenate(layers)
+    steps = np.repeat(np.arange(n + 1), [layer.size for layer in layers])
+    on_arc = pos <= tent.critical
+    pos, steps = pos[on_arc], steps[on_arc]
+    order = np.argsort(pos, kind="stable")
+    return [
+        PPointRecord(position=x, level=n - j, preimage_index=j)
+        for x, j in zip(pos[order].tolist(), steps[order].tolist())
     ]
-    records.sort(key=lambda r: r.position)
-    return records
 
 
 def arc_to_salient(s: float, n: int) -> FoldingPattern:

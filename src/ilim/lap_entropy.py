@@ -3,8 +3,10 @@
 lap(f^n) counts the maximal monotonicity intervals of the n-th iterate.  For
 a unimodal map it equals 1 plus the number of interior points whose orbit
 hits the critical point within the first n-1 steps, so the whole table up to
-n_max comes from one backward preimage tree of the critical point.  Entropy
-is read off as the exponential growth rate of the table.
+n_max comes from one backward preimage tree of the critical point
+(``maps.backward_tree``), whose layers are counted exactly, without merging
+nearby points.  Entropy is read off as the exponential growth rate of the
+table.
 """
 
 from __future__ import annotations
@@ -14,71 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, charge
-from .maps import QuadraticMap, TentMap, UnimodalMap
-
-_DEDUP_TOL = 1e-12
-
-
-def _dedup_sorted(a: np.ndarray, tol: float = _DEDUP_TOL) -> np.ndarray:
-    if a.size == 0:
-        return a
-    a = np.sort(a)
-    keep = np.empty(a.size, dtype=bool)
-    keep[0] = True
-    np.greater(np.diff(a), tol, out=keep[1:])
-    return a[keep]
-
-
-def _drop_seen(candidates: np.ndarray, seen: np.ndarray, tol: float = _DEDUP_TOL) -> np.ndarray:
-    """Remove candidates that already occur (within tol) in the sorted array `seen`."""
-    if candidates.size == 0 or seen.size == 0:
-        return candidates
-    idx = np.searchsorted(seen, candidates)
-    near_right = np.abs(seen[np.minimum(idx, seen.size - 1)] - candidates) <= tol
-    near_left = np.abs(seen[np.maximum(idx - 1, 0)] - candidates) <= tol
-    return candidates[~(near_left | near_right)]
-
-
-def _tent_fold_layers(map_: TentMap, n_max: int) -> list[np.ndarray]:
-    """layers[j] = points solving T^j(x) = critical, x in [0,1], minimal such j."""
-    s = map_.slope
-    top = map_.top
-    layers = [np.array([map_.critical])]
-    seen = np.array([map_.critical])
-    used = 1
-    for _ in range(n_max - 1):
-        y = layers[-1]
-        # a point has tent preimages exactly when it does not exceed the top
-        y = y[y <= top + _DEDUP_TOL]
-        cand = np.concatenate([y / s, 1.0 - y / s])
-        used = charge(cand.size, used)
-        cand = _dedup_sorted(cand)
-        cand = _drop_seen(cand, seen)
-        layers.append(cand)
-        seen = np.sort(np.concatenate([seen, cand]))
-    return layers
-
-
-def _quad_fold_layers(map_: QuadraticMap, n_max: int) -> list[np.ndarray]:
-    """Same tree for the quadratic map on [-1,1]; boundary points still propagate."""
-    a = map_.parameter
-    layers = [np.array([0.0])]
-    seen = np.array([0.0])
-    used = 1
-    for _ in range(n_max - 1):
-        y = layers[-1]
-        rad = (1.0 - y) / a
-        rad = rad[rad >= 0.0]
-        r = np.sqrt(rad)
-        r = r[r <= 1.0 + _DEDUP_TOL]
-        cand = np.concatenate([-r, r])
-        used = charge(cand.size, used)
-        cand = _dedup_sorted(cand)
-        cand = _drop_seen(cand, seen)
-        layers.append(cand)
-        seen = np.sort(np.concatenate([seen, cand]))
-    return layers
+from .errors import DomainError
+from .maps import TOL, QuadraticMap, TentMap, UnimodalMap, backward_tree
 
 
 @dataclass(frozen=True)
@@ -101,18 +40,12 @@ def lap_table(map_: UnimodalMap, n_max: int) -> LapTable:
     """Exact lap numbers for n = 1..n_max via the backward tree of the critical point."""
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
-    if isinstance(map_, TentMap):
-        layers = _tent_fold_layers(map_, n_max)
-        lo, hi = 0.0, 1.0
-    else:
-        layers = _quad_fold_layers(map_, n_max)
-        lo, hi = -1.0, 1.0
+    lo, hi = map_.domain
     counts = []
-    total = 0
-    for layer in layers:
-        interior = np.count_nonzero((layer > lo + _DEDUP_TOL) & (layer < hi - _DEDUP_TOL))
-        total += int(interior)
-        counts.append(1 + total)
+    total = 1
+    for layer in backward_tree(map_, n_max - 1):
+        total += int(np.count_nonzero((layer > lo) & (layer < hi)))
+        counts.append(total)
     return LapTable(map_, tuple(counts))
 
 
@@ -142,6 +75,17 @@ def _estimate_at(counts: tuple[int, ...], n: int, method: str) -> float:
     return 0.5 * math.log(counts[n - 1] / counts[n - 3])
 
 
+def _estimate(counts: tuple[int, ...], method: str) -> EntropyEstimate:
+    """Estimate at the last n of a lap table; residual over the last three n."""
+    n_max = len(counts)
+    if n_max < 4:
+        raise DomainError("entropy estimation needs n_max >= 4")
+    tail = [_estimate_at(counts, n, method) for n in (n_max - 2, n_max - 1, n_max)]
+    return EntropyEstimate(
+        value=tail[-1], method=method, n_used=n_max, residual=max(tail) - min(tail)
+    )
+
+
 def entropy_lap(map_: UnimodalMap, n_max: int, method: str = "ratio") -> EntropyEstimate:
     """Entropy of the map from lap growth, in nats.
 
@@ -149,16 +93,9 @@ def entropy_lap(map_: UnimodalMap, n_max: int, method: str = "ratio") -> Entropy
     log(lap(n_max)/lap(n_max-1)), "ratio2" the half of the two-step quotient.
     The residual is the spread of the estimate over the last three usable n.
     """
-    if n_max < 4:
-        raise DomainError("entropy estimation needs n_max >= 4")
     if method not in _METHODS:
         raise DomainError(f"method must be one of {_METHODS}")
-    counts = lap_table(map_, n_max).counts
-    tail = [_estimate_at(counts, n, method) for n in (n_max - 2, n_max - 1, n_max)]
-    value = tail[-1]
-    return EntropyEstimate(
-        value=value, method=method, n_used=n_max, residual=max(tail) - min(tail)
-    )
+    return _estimate(lap_table(map_, n_max).counts, method)
 
 
 #: growth below `lap(n) <= _POLY_FACTOR * n**2` is treated as subexponential
@@ -175,10 +112,9 @@ def tent_slope_of_quadratic(
     *and* the lap table is subexponential, the zero-entropy sentinel 1.0 is
     returned — there is no entropy-matching tent map in that regime.
     """
-    q = QuadraticMap(a)
-    est = entropy_lap(q, n_max=n_max, method="ratio2")
-    table = lap_table(q, n_max)
-    subexp = table.counts[-1] <= _POLY_FACTOR * n_max * n_max
+    counts = lap_table(QuadraticMap(a), n_max).counts
+    est = _estimate(counts, "ratio2")
+    subexp = counts[-1] <= _POLY_FACTOR * n_max * n_max
     if est.value < tol and subexp:
         s = 1.0
         est = EntropyEstimate(0.0, est.method, est.n_used, est.residual)
@@ -200,29 +136,12 @@ def deep_branch_count(map_: TentMap, k: int, delta: float) -> int:
         raise DomainError("delta must be nonnegative")
     s = map_.slope
     top = map_.top
-    second = map_.second_image
     if k == 0:
-        return 1 if top >= 2.0 * delta - _DEDUP_TOL else 0
-    folds = [np.array([map_.critical])]
-    seen = np.array([map_.critical])
-    used = 1
-    for _ in range(k - 1):
-        y = folds[-1]
-        y = y[y <= top + _DEDUP_TOL]
-        left = y / s
-        right = 1.0 - y[y >= second - _DEDUP_TOL] / s  # right branch stays in [0, top]
-        cand = np.concatenate([left, right])
-        cand = cand[(cand >= -_DEDUP_TOL) & (cand <= top + _DEDUP_TOL)]
-        used = charge(cand.size, used)
-        cand = _dedup_sorted(cand)
-        cand = _drop_seen(cand, seen)
-        folds.append(cand)
-        seen = np.sort(np.concatenate([seen, cand]))
-    pts = np.concatenate(folds)
-    pts = pts[(pts > _DEDUP_TOL) & (pts < top - _DEDUP_TOL)]
-    breaks = np.concatenate([[0.0], np.sort(pts), [top]])
+        return 1 if top >= 2.0 * delta - TOL else 0
+    pts = np.concatenate(backward_tree(map_, k - 1, window=(0.0, top)))
+    breaks = np.concatenate([[0.0], np.sort(pts[(pts > 0.0) & (pts < top)]), [top]])
     images = breaks.copy()
     for _ in range(k):
         images = np.minimum(s * images, s * (1.0 - images))
     lengths = np.abs(np.diff(images))
-    return int(np.count_nonzero(lengths >= 2.0 * delta - _DEDUP_TOL))
+    return int(np.count_nonzero(lengths >= 2.0 * delta - TOL))

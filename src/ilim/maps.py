@@ -14,10 +14,12 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Union
 
-from .errors import DomainError
+import numpy as np
 
-#: default absolute tolerance for comparisons against the critical point
-#: and for preimage deduplication.
+from .errors import DomainError, charge
+
+#: default absolute tolerance for comparisons against the critical point;
+#: backward_tree reads the period of the critical point with it.
 TOL = 1e-12
 
 
@@ -148,21 +150,6 @@ class QuadraticMap:
 UnimodalMap = Union[TentMap, QuadraticMap]
 
 
-def tent_eval(map_: TentMap, x: float) -> float:
-    """Evaluate a tent map at ``x`` (thin functional wrapper)."""
-    return map_(x)
-
-
-def tent_preimages(map_: TentMap, y: float, tol: float = TOL) -> Preimages:
-    """Preimage set of ``y`` under a tent map."""
-    return map_.preimages(y, tol)
-
-
-def quad_eval(map_: QuadraticMap, x: float) -> float:
-    """Evaluate a quadratic map at ``x``."""
-    return map_(x)
-
-
 def critical_orbit(map_: UnimodalMap, n: int) -> list[float]:
     """Forward orbit of the critical point: the first ``n`` images."""
     if n < 1:
@@ -173,6 +160,46 @@ def critical_orbit(map_: UnimodalMap, n: int) -> list[float]:
         x = map_(x)
         out.append(x)
     return out
+
+
+def backward_tree(
+    map_: UnimodalMap, depth: int, window: tuple[float, float] | None = None
+) -> list[np.ndarray]:
+    """First-hit preimages of the critical point, layer by layer.
+
+    Entry j, for j = 0..depth, holds the points x of ``window`` (default: the
+    domain) with f^j(x) = critical and no earlier hit, in no particular order.
+    Such a point is fixed by its word of inverse branches, and two words can
+    only meet where both branches do: at the top, whose one preimage is the
+    critical point of layer 0.  So the tree needs no deduplication.  The top
+    is a node only when the critical point is periodic; its period P is read
+    once from the forward orbit within TOL.  Each orbit point f^k(c) is then
+    the node of layer P-k nearest to it, and is snapped to its forward value,
+    so that the tests against the top and the window ends are exact.  Every
+    layer is charged to the node budget before it is allocated.
+    """
+    if depth < 0:
+        raise DomainError("tree depth must be nonnegative")
+    lo, hi = map_.domain if window is None else window
+    orbit = critical_orbit(map_, depth + 1)
+    top = orbit[0]
+    period = next((k for k, x in enumerate(orbit, 1) if abs(x - map_.critical) <= TOL), None)
+    layers = [np.array([map_.critical])]
+    used = charge(1, 0)
+    for j in range(1, depth + 1):
+        y = layers[-1]
+        y = y[y < top]
+        used = charge(2 * y.size, used)
+        if isinstance(map_, TentMap):
+            x = np.concatenate([y / map_.slope, 1.0 - y / map_.slope])
+        else:
+            r = np.sqrt((1.0 - y) / map_.parameter)
+            x = np.concatenate([-r, r])
+        if period is not None and j < period:
+            node = orbit[period - j - 1]
+            x[np.argmin(np.abs(x - node))] = node
+        layers.append(x[(x >= lo) & (x <= hi)])
+    return layers
 
 
 def itinerary(map_: UnimodalMap, x: float, n: int, tol: float = TOL) -> str:

@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, TowerError, charge
-from .lap_entropy import entropy_lap, lap_table
-from .maps import QuadraticMap, itinerary
+from .errors import DomainError, TowerError
+from .lap_entropy import _estimate, lap_table
+from .maps import QuadraticMap, backward_tree, itinerary
 
 _LOG2 = math.log(2.0)
 #: two-step ratio below this, together with polynomial lap growth, classifies
@@ -103,29 +103,6 @@ def _fixed_points(a: float, p: int, bound: float, grid: int = 4001) -> list[floa
     return dedup
 
 
-def _zero_preimage_layers(a: float, depth: int) -> list[np.ndarray]:
-    """layers[j] = solutions of q^j(x) = 0 with minimal j, within [-1, 1]."""
-    layers = [np.array([0.0])]
-    seen = np.array([0.0])
-    used = 1
-    for _ in range(depth):
-        y = layers[-1]
-        rad = (1.0 - y) / a
-        rad = rad[rad >= 0.0]
-        r = np.sqrt(rad)
-        r = r[r <= 1.0 + 1e-13]
-        cand = np.unique(np.concatenate([-r, r]))
-        used = charge(cand.size, used)
-        if seen.size and cand.size:
-            idx = np.searchsorted(seen, cand)
-            near_r = np.abs(seen[np.minimum(idx, seen.size - 1)] - cand) <= 1e-12
-            near_l = np.abs(seen[np.maximum(idx - 1, 0)] - cand) <= 1e-12
-            cand = cand[~(near_l | near_r)]
-        layers.append(cand)
-        seen = np.sort(np.concatenate([seen, cand]))
-    return layers
-
-
 def _iterate_range(a: float, lo: float, hi: float, k: int, layers) -> tuple[float, float]:
     """Exact range of the k-th iterate over [lo, hi] via interior critical points."""
     pts = [lo, hi]
@@ -138,7 +115,7 @@ def _iterate_range(a: float, lo: float, hi: float, k: int, layers) -> tuple[floa
 
 def _restrictive_bound(a: float, p: int, z_cur: float, tol: float) -> float | None:
     """Smallest |w| bounding a period-p restrictive interval inside [-z_cur, z_cur]."""
-    layers = _zero_preimage_layers(a, p - 1)
+    layers = backward_tree(QuadraticMap(a), p - 1)
     candidates = [w for w in _fixed_points(a, p, z_cur + 1e-12) if abs(w) > 1e-7]
     for w in sorted(candidates, key=abs):
         cycle = [w]
@@ -191,7 +168,7 @@ def _return_map_entropy(a: float, p: int, z: float) -> float:
     """Entropy of the p-th-iterate return map on [-z, z], from its lap growth."""
     n_ret = max(5, min(12, 22 // p + 1))
     depth = p * (n_ret - 1)
-    layers = _zero_preimage_layers(a, depth)
+    layers = backward_tree(QuadraticMap(a), depth)
     counts = []
     total = 0
     for j in range(n_ret):
@@ -210,12 +187,11 @@ def _return_map_entropy(a: float, p: int, z: float) -> float:
 
 
 def _base_entropy(a: float) -> float:
-    q = QuadraticMap(a)
-    est = entropy_lap(q, n_max=20, method="ratio2")
-    counts = lap_table(q, 20).counts
-    if est.value < _ZERO_RATIO and counts[-1] <= _POLY_FACTOR * 400:
+    counts = lap_table(QuadraticMap(a), 20).counts
+    ratio2 = _estimate(counts, "ratio2").value
+    if ratio2 < _ZERO_RATIO and counts[-1] <= _POLY_FACTOR * 400:
         return 0.0
-    return min(max(est.value, 0.0), _LOG2)
+    return min(max(ratio2, 0.0), _LOG2)
 
 
 def detect_renormalization(a: float, max_period: int = 16, tol: float = 1e-9) -> RenormTower:
@@ -282,8 +258,8 @@ def _n_floor(tower: RenormTower, j: int, i: int) -> float:
 def entropy_spectrum(tower: RenormTower, h_max: float) -> list[float]:
     """All admissible entropy values up to h_max, sorted and deduplicated."""
     tower.validate()
-    if h_max <= 0:
-        raise DomainError("h_max must be positive")
+    if not 0 < h_max < math.inf:
+        raise DomainError(f"h_max must be positive and finite, got {h_max}")
     values = [0.0]
     for i in range(len(tower)):
         hi = tower.entropies[i]
@@ -367,6 +343,8 @@ def spectrum_membership(tower: RenormTower, value: float, tol: float = 1e-9) -> 
     value = N * (p_j/p_i) * log s_i with N above the level-consistency floor.
     """
     tower.validate()
+    if not math.isfinite(value):
+        raise DomainError(f"entropy value must be finite, got {value}")
     if value < -tol:
         raise DomainError("entropy values are nonnegative")
     if abs(value) <= tol:

@@ -138,6 +138,10 @@ def test_entropy_bowen_identity_power_is_zero(capsys):
 def test_slope_of_quadratic_full_height(capsys):
     report = run_json(capsys, "slope-of-quadratic", "--a", "2", "--n-max", "16")
     assert report["outputs"]["slope"] == pytest.approx(2.0, abs=0.05)
+    # the default n_max = 24 reaches preimages within 1e-12 of +-1
+    code, out, _ = run(capsys, "slope-of-quadratic", "--a", "2.0", "--format", "plain")
+    assert code == 0
+    assert "slope: 2.0\n" in out
 
 
 def test_csv_falls_back_to_flat_outputs(capsys):
@@ -188,6 +192,24 @@ def test_domain_violation_exits_two(capsys):
     code, _, err = run(capsys, "entropy-lap", "--slope", "2.5")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("separated", "--slope", "1.8", "--R", "1", "--depth", "4", "--seeds", "8",
+         "--n-max", "4", "--eps", "nan"),
+        ("chain-build", "--slope", "1.8", "--p", "2", "--eps", "nan"),
+        ("chain-build", "--slope", "1.8", "--p", "2", "--eps", "inf"),
+        ("spectrum", "--periods", "1,2", "--entropies", "0.5,0.8", "--h-max", "nan"),
+        ("spectrum-member", "--periods", "1,2", "--entropies", "0.5,0.8", "--value", "nan"),
+    ],
+)
+def test_non_finite_input_exits_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
 
 
 def test_resource_cap_exits_three(capsys, monkeypatch):

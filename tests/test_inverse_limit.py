@@ -29,6 +29,8 @@ from ilim.inverse_limit import (
 )
 from ilim.maps import TentMap
 
+GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0  # the critical point has period 3
+
 slopes = st.floats(min_value=1.05, max_value=2.0, allow_nan=False)
 
 
@@ -204,10 +206,20 @@ def test_arc_pattern_ends_at_n(s):
         assert arc_to_salient(s, n).entries[-1] == n
 
 
-@pytest.mark.parametrize("s", [1.6, 1.8, 2.0])
+@pytest.mark.parametrize("s", [1.6, 1.8, 2.0, GOLDEN])
 def test_folding_pattern_prefix_universal(s):
     assert folding_pattern_prefix(s, 7).entries == (math.inf, 0, 1, 0, 2, 0, 1)
     assert folding_pattern_prefix(s, 2).entries == (math.inf, 0)
+
+
+def test_arc_records_distinct_when_critical_point_is_periodic():
+    # the top is a node of the backward tree at the golden mean; its one
+    # preimage is the critical point, which must not reappear as a fold point
+    recs = arc_records(GOLDEN, 20)
+    pos = [r.position for r in recs]
+    assert all(a < b for a, b in zip(pos, pos[1:]))
+    assert (math.inf, *(r.level for r in recs[:6])) == (math.inf, 0, 1, 0, 2, 0, 1)
+    assert recs[-1].position == 0.5 and recs[-1].level == 20
 
 
 def test_pattern_strings():

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from ilim.lap_entropy import (
 from ilim.maps import QuadraticMap, TentMap
 
 A_STAR = 1.5436890126920764  # parameter whose doubled-up map is entropy log 2
+GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0  # tent slope where the critical point has period 3
+SUPERSTABLE_4 = 1.3107026413368328  # quadratic parameter where 0 has period 4
 
 
 def grid_scan_laps(map_, n, grid=1_000_000):
@@ -24,10 +27,35 @@ def grid_scan_laps(map_, n, grid=1_000_000):
     xs = np.linspace(lo, hi, grid)
     ys = xs.copy()
     for _ in range(n):
-        ys = np.minimum(map_.slope * ys, map_.slope * (1.0 - ys))
+        if isinstance(map_, TentMap):
+            ys = np.minimum(map_.slope * ys, map_.slope * (1.0 - ys))
+        else:
+            ys = 1.0 - map_.parameter * ys * ys
     d = np.sign(np.diff(ys))
     d = d[d != 0]
     return 1 + int(np.sum(d[1:] != d[:-1]))
+
+
+def superstable_laps(a0, period, n, digits=60):
+    """Independent oracle: laps of the quadratic map whose critical point has
+    the given period, the parameter nearest a0, from a backward tree of the
+    critical point held at `digits` decimal digits."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        a = Decimal(a0)
+        for _ in range(20):  # Newton's method on a -> q_a^period(0)
+            x, dx = Decimal(0), Decimal(0)
+            for _ in range(period):
+                x, dx = 1 - a * x * x, -x * x - 2 * a * x * dx
+            a -= x / dx
+        top = 1 - Decimal(10) ** (20 - digits)  # the top's one preimage is 0
+        layer, total, counts = [Decimal(0)], 1, []
+        for _ in range(n):
+            total += sum(1 for x in layer if -1 < x < 1)
+            counts.append(total)
+            roots = [((1 - y) / a).sqrt() for y in layer if y < top]
+            layer = [x for r in roots if r <= 1 for x in (-r, r)]
+    return tuple(counts)
 
 
 def enumerate_branches(s, k, delta):
@@ -70,10 +98,29 @@ def test_lap_against_grid_scan():
     assert lap_count(t, 10) == grid_scan_laps(t, 10)
 
 
+@pytest.mark.parametrize("map_", [TentMap(GOLDEN), QuadraticMap(SUPERSTABLE_4)])
+def test_lap_against_grid_scan_with_periodic_critical_point(map_):
+    # the top is a node of the backward tree here; its one preimage is the
+    # critical point, which must neither be counted twice nor lose its siblings
+    counts = lap_table(map_, 14).counts
+    assert counts == tuple(grid_scan_laps(map_, n) for n in range(1, 15))
+
+
+@pytest.mark.parametrize(
+    "a,period",
+    [(SUPERSTABLE_4, 4), (1.7548776662466927, 3), (1.9997740486937274, 8)],
+)
+def test_lap_at_superstable_parameter(a, period):
+    # at 1.9997740486937274 the top, computed backwards, falls an ulp below 1
+    assert lap_table(QuadraticMap(a), 12).counts == superstable_laps(a, period, 12)
+
+
 def test_quadratic_full_parameter():
     q = QuadraticMap(2.0)
     for n in range(1, 13):
         assert lap_count(q, n) == 2**n
+    # preimages near +-1 lie closer together than 1e-12 from n = 20 on
+    assert lap_table(q, 24).counts == tuple(2**n for n in range(1, 25))
 
 
 def test_lap_table_monotone():
@@ -179,6 +226,7 @@ def test_deep_branches_monotone_in_delta(s, k, d1, d2):
 
 def test_slope_of_full_quadratic():
     assert tent_slope_of_quadratic(2.0, n_max=16) == pytest.approx(2.0, abs=0.02)
+    assert tent_slope_of_quadratic(2.0) == 2.0
 
 
 def test_slope_of_superattracting_cycle():

@@ -11,9 +11,6 @@ from ilim.maps import (
     core_interval,
     critical_orbit,
     itinerary,
-    quad_eval,
-    tent_eval,
-    tent_preimages,
 )
 
 slopes = st.floats(min_value=1.0, max_value=2.0, exclude_min=True, allow_nan=False)
@@ -21,16 +18,16 @@ unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
 
 def test_tent_eval_values():
-    assert tent_eval(TentMap(2.0), 0.25) == 0.5
-    assert tent_eval(TentMap(2.0), 0.5) == 1.0
-    assert tent_eval(TentMap(1.8), 0.9) == pytest.approx(0.18, abs=1e-15)
+    assert TentMap(2.0)(0.25) == 0.5
+    assert TentMap(2.0)(0.5) == 1.0
+    assert TentMap(1.8)(0.9) == pytest.approx(0.18, abs=1e-15)
 
 
 def test_tent_eval_domain():
     with pytest.raises(DomainError):
-        tent_eval(TentMap(1.8), 1.5)
+        TentMap(1.8)(1.5)
     with pytest.raises(DomainError):
-        tent_eval(TentMap(1.8), -0.2)
+        TentMap(1.8)(-0.2)
 
 
 def test_tent_slope_validation():
@@ -41,26 +38,26 @@ def test_tent_slope_validation():
 
 
 def test_tent_preimages_values():
-    p = tent_preimages(TentMap(2.0), 0.0)
+    p = TentMap(2.0).preimages(0.0)
     assert list(p) == [0.0, 1.0]
     assert not p.double_root
 
-    p = tent_preimages(TentMap(2.0), 1.0)
+    p = TentMap(2.0).preimages(1.0)
     assert list(p) == [0.5]
     assert p.double_root
 
-    assert len(tent_preimages(TentMap(1.8), 1.0)) == 0
+    assert len(TentMap(1.8).preimages(1.0)) == 0
 
 
 def test_tent_preimages_negative_rejected():
     with pytest.raises(DomainError):
-        tent_preimages(TentMap(1.8), -0.5)
+        TentMap(1.8).preimages(-0.5)
 
 
 def test_quad_eval_values():
-    assert quad_eval(QuadraticMap(2.0), 0.0) == 1.0
-    assert quad_eval(QuadraticMap(2.0), 1.0) == -1.0
-    assert quad_eval(QuadraticMap(1.5), 0.5) == 0.625
+    assert QuadraticMap(2.0)(0.0) == 1.0
+    assert QuadraticMap(2.0)(1.0) == -1.0
+    assert QuadraticMap(1.5)(0.5) == 0.625
 
 
 def test_quad_preimages_double_root():
