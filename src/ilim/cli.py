@@ -86,25 +86,24 @@ def _cmd_entropy_lap(args):
     return out, {"critical_period": TOL}, None
 
 
-def _cmd_entropy_bowen(args):
+def _separation(args):
+    """Shared body of entropy-bowen and separated: the sampled cloud, its
+    separation curves, their json and their csv rows."""
     cloud = bowen.sample_points(args.slope, args.depth, args.branch_cap, args.seeds)
     curves = bowen.separation_curves(cloud, args.R, tuple(_floats(args.eps)), args.n_max)
-    est = bowen.estimate_from_curves(curves)
-    rows = [
-        (c.eps, n, count, math.log(count))
+    as_json = [
+        {"eps": c.eps, "estimate": c.estimate, "counts": [list(t) for t in c.counts]}
         for c in curves
-        for n, count in c.counts
     ]
-    out = {
-        "value": est.value,
-        "n_used": est.n_used,
-        "residual": est.residual,
-        "curves": [
-            {"eps": c.eps, "estimate": c.estimate, "counts": [list(t) for t in c.counts]}
-            for c in curves
-        ],
-    }
-    return out, {"fit_residual_per_point": 0.02}, (("eps", "n", "count", "log_count"), rows)
+    rows = [(c.eps, n, count, math.log(count)) for c in curves for n, count in c.counts]
+    return cloud, curves, as_json, (("eps", "n", "count", "log_count"), rows)
+
+
+def _cmd_entropy_bowen(args):
+    _, curves, as_json, rows = _separation(args)
+    est = bowen.estimate_from_curves(curves)
+    out = {"value": est.value, "n_used": est.n_used, "residual": est.residual, "curves": as_json}
+    return out, {"fit_residual_per_point": 0.02}, rows
 
 
 def _cmd_slope_of_quadratic(args):
@@ -154,21 +153,8 @@ def _cmd_plevel_align(args):
 
 
 def _cmd_separated(args):
-    cloud = bowen.sample_points(args.slope, args.depth, args.branch_cap, args.seeds)
-    curves = bowen.separation_curves(cloud, args.R, tuple(_floats(args.eps)), args.n_max)
-    rows = [
-        (c.eps, n, count, math.log(count))
-        for c in curves
-        for n, count in c.counts
-    ]
-    out = {
-        "cloud_size": len(cloud),
-        "curves": [
-            {"eps": c.eps, "estimate": c.estimate, "counts": [list(t) for t in c.counts]}
-            for c in curves
-        ],
-    }
-    return out, {}, (("eps", "n", "count", "log_count"), rows)
+    cloud, _, as_json, rows = _separation(args)
+    return {"cloud_size": len(cloud), "curves": as_json}, {}, rows
 
 
 def _cmd_renorm_detect(args):

@@ -102,24 +102,41 @@ def entropy_lap(map_: UnimodalMap, n_max: int, method: str = "ratio") -> Entropy
 _POLY_FACTOR = 4
 
 
+def zero_or_rate(counts: tuple[int, ...], cutoff: float) -> float:
+    """Entropy from a lap sequence, with the zero-entropy regime decided here.
+
+    Returns 0 when the growth is subexponential (``counts[-1] <= 4 n**2``)
+    and either the two-step ratio falls below ``cutoff`` or the last three
+    differences are equal: an eventually-affine lap sequence is a
+    zero-entropy signature that the ratio only reaches asymptotically.
+    Otherwise returns the two-step ratio clamped to [0, log 2].
+    """
+    n = len(counts)
+    ratio2 = _estimate(counts, "ratio2").value
+    d1, d2, d3 = (b - c for b, c in zip(counts[-3:], counts[-4:-1]))
+    if counts[-1] <= _POLY_FACTOR * n * n and (ratio2 < cutoff or d1 == d2 == d3):
+        return 0.0
+    return min(max(ratio2, 0.0), math.log(2.0))
+
+
 def tent_slope_of_quadratic(
     a: float, tol: float = 0.05, n_max: int = 24, with_estimate: bool = False
 ):
     """Slope of the tent map with the same entropy as the quadratic map q_a.
 
     Estimates the entropy of q_a from lap growth (two-step ratio) and returns
-    exp(entropy) clamped to [1, 2].  When the estimate falls below ``tol``
-    *and* the lap table is subexponential, the zero-entropy sentinel 1.0 is
-    returned — there is no entropy-matching tent map in that regime.
+    its exponential, in [1, 2].  Where ``zero_or_rate`` with cutoff ``tol``
+    classifies the map as zero-entropy, the sentinel 1.0 is returned: there
+    is no entropy-matching tent map in that regime.
     """
+    if not math.isfinite(tol):
+        raise DomainError(f"tol must be finite, got {tol}")
     counts = lap_table(QuadraticMap(a), n_max).counts
+    h = zero_or_rate(counts, tol)
     est = _estimate(counts, "ratio2")
-    subexp = counts[-1] <= _POLY_FACTOR * n_max * n_max
-    if est.value < tol and subexp:
-        s = 1.0
+    if h == 0.0:
         est = EntropyEstimate(0.0, est.method, est.n_used, est.residual)
-    else:
-        s = min(max(math.exp(est.value), 1.0), 2.0)
+    s = math.exp(h)
     return (s, est) if with_estimate else s
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import ClassVar, Iterator, Union
 
 import numpy as np
 
@@ -57,7 +57,7 @@ class TentMap:
 
     # -- critical data ------------------------------------------------------
 
-    critical: float = 0.5
+    critical: ClassVar[float] = 0.5
 
     @property
     def top(self) -> float:
@@ -109,7 +109,7 @@ class QuadraticMap:
                 f"quadratic parameter must lie in (0, 2], got {self.parameter}"
             )
 
-    critical: float = 0.0
+    critical: ClassVar[float] = 0.0
 
     @property
     def domain(self) -> tuple[float, float]:

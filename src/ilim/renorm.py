@@ -1,13 +1,13 @@
 """Renormalization towers of quadratic maps and the entropy values that
 self-maps of the associated inverse limits can realize.
 
-Detection is numeric: a map is renormalizable with period p when an interval
-around the critical point, bounded by an orientation-preserving fixed point
-of the p-th iterate and its mirror image, maps into itself under the p-th
-iterate while its first p images stay pairwise disjoint in the interior.  A
-kneading cross-check (periodicity of the critical itinerary away from the
-multiples of p) guards against tolerance artifacts: the symbolic test is
-necessary, so a numerically accepted period that fails it is flagged.
+A map is renormalizable with period p when an interval around the critical
+point, bounded by an orientation-preserving fixed point of the p-th iterate
+and its mirror image, maps into itself under the p-th iterate while its
+first p images stay pairwise disjoint in the interior.  Its critical
+itinerary then repeats with period p away from the multiples of p.  That
+kneading test is symbolic and cheap, so it gates the search: only a period
+that passes it is tested numerically for such an interval.
 
 The admissible entropy values of a tower are 0 together with all numbers
 N * (p_j / p_i) * log s_i where N is an integer at least
@@ -25,14 +25,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, TowerError
-from .lap_entropy import _estimate, lap_table
+from .lap_entropy import lap_table, zero_or_rate
 from .maps import QuadraticMap, backward_tree, itinerary
 
-_LOG2 = math.log(2.0)
-#: two-step ratio below this, together with polynomial lap growth, classifies
-#: a return map as zero-entropy
+#: zero-entropy cutoff of the two-step lap ratio (see ``zero_or_rate``)
 _ZERO_RATIO = 0.08
-_POLY_FACTOR = 4
 
 
 @dataclass(frozen=True)
@@ -43,6 +40,9 @@ class RenormTower:
     entropies: tuple[float, ...]
     notes: tuple[str, ...] = field(default=(), compare=False)
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self, tol: float = 5e-3) -> None:
         if not self.periods or self.periods[0] != 1:
             raise TowerError("tower must start with period 1")
@@ -52,6 +52,8 @@ class RenormTower:
             if q % p != 0 or q <= p:
                 raise TowerError(f"period {q} must be a proper multiple of {p}")
         for h in self.entropies:
+            if not math.isfinite(h):
+                raise TowerError(f"entropy {h} must be finite")
             if h < -tol:
                 raise TowerError(f"entropy {h} is negative")
         for (pa, ha), (pb, hb) in zip(
@@ -175,104 +177,78 @@ def _return_map_entropy(a: float, p: int, z: float) -> float:
         layer = layers[p * j]
         total += int(np.count_nonzero((layer > -z + 1e-12) & (layer < z - 1e-12)))
         counts.append(1 + total)
-    ratio2 = 0.5 * math.log(counts[-1] / counts[-3])
-    poly = counts[-1] <= _POLY_FACTOR * n_ret * n_ret
-    diffs = [b - c for b, c in zip(counts[1:], counts)]
-    # an eventually-affine lap sequence is a zero-entropy signature that the
-    # two-step ratio only reaches asymptotically
-    affine_tail = len(diffs) >= 3 and diffs[-1] == diffs[-2] == diffs[-3]
-    if poly and (ratio2 < _ZERO_RATIO or affine_tail):
-        return 0.0
-    return min(max(ratio2, 0.0), _LOG2)
-
-
-def _base_entropy(a: float) -> float:
-    counts = lap_table(QuadraticMap(a), 20).counts
-    ratio2 = _estimate(counts, "ratio2").value
-    if ratio2 < _ZERO_RATIO and counts[-1] <= _POLY_FACTOR * 400:
-        return 0.0
-    return min(max(ratio2, 0.0), _LOG2)
+    return zero_or_rate(tuple(counts), _ZERO_RATIO)
 
 
 def detect_renormalization(a: float, max_period: int = 16, tol: float = 1e-9) -> RenormTower:
     """Renormalization tower of the quadratic map with parameter ``a``.
 
     Candidate periods are multiples of the last accepted period, tried in
-    increasing order; each accepted level shrinks the search interval to the
-    new restrictive interval.  Entropies come from return-map lap growth with
-    a subexponential-growth cutoff for the zero-entropy regime.
+    increasing order.  A candidate is tested numerically for a restrictive
+    interval only when its kneading test passes; one that passes the kneading
+    test but has no such interval is noted.  Each accepted level shrinks the
+    search interval to the new restrictive interval.  Every level's entropy
+    comes from lap growth, classified by ``zero_or_rate``.
     """
     if max_period > 64:
         raise DomainError("max_period capped at 64")
+    if not math.isfinite(tol):
+        raise DomainError(f"tol must be finite, got {tol}")
     quad = QuadraticMap(a)
     periods = [1]
-    entropies = [_base_entropy(a)]
+    entropies = [zero_or_rate(lap_table(quad, 20).counts, _ZERO_RATIO)]
     notes: list[str] = []
     z_cur = quad.fixed_point_positive()
     while True:
-        base = periods[-1]
-        accepted = None
-        k = 2
-        while base * k <= max_period:
-            p = base * k
+        for p in range(2 * periods[-1], max_period + 1, periods[-1]):
+            if not _kneading_periodic(a, p, horizon=min(6 * p, 48)):
+                continue
             z = _restrictive_bound(a, p, z_cur, tol)
-            symbolic = _kneading_periodic(a, p, horizon=min(6 * p, 48))
             if z is not None:
-                if not symbolic:
-                    notes.append(
-                        f"period {p}: numeric acceptance not confirmed symbolically"
-                    )
-                accepted = (p, z)
                 break
-            if symbolic:
-                notes.append(
-                    f"period {p}: symbolic periodicity without a restrictive interval"
-                )
-            k += 1
-        if accepted is None:
+            notes.append(f"period {p}: symbolic periodicity without a restrictive interval")
+        else:
             break
-        p, z = accepted
         periods.append(p)
         entropies.append(_return_map_entropy(a, p, z))
         z_cur = z
-    tower = RenormTower(tuple(periods), tuple(entropies), tuple(notes))
-    tower.validate()
-    return tower
+    return RenormTower(tuple(periods), tuple(entropies), tuple(notes))
 
 
 # ---------------------------------------------------------------------------
 # admissible entropy values
 
 
-def _n_floor(tower: RenormTower, j: int, i: int) -> float:
-    """Smallest admissible multiplier for the level pair (j, i)."""
-    hi = tower.entropies[i]
-    bound = 1.0
-    for k in range(j, i + 1):
-        if tower.entropies[k] <= 0:
+def _level_pairs(tower: RenormTower):
+    """Yield (j, i, unit, floor) for each level pair j <= i with log s_i > 0.
+
+    The pair contributes the values N * unit, unit = (p_j / p_i) * log s_i,
+    for integers N at least ``floor``, the level-consistency bound.
+    """
+    p, h = tower.periods, tower.entropies
+    for i in range(len(tower)):
+        if h[i] <= 0:
             continue
-        bound = max(bound, (tower.periods[i] / tower.periods[k]) * (tower.entropies[k] / hi))
-    return bound
+        for j in range(i + 1):
+            floor = 1.0
+            for k in range(j, i + 1):
+                if h[k] > 0:
+                    floor = max(floor, (p[i] / p[k]) * (h[k] / h[i]))
+            yield j, i, (p[j] / p[i]) * h[i], floor
 
 
 def entropy_spectrum(tower: RenormTower, h_max: float) -> list[float]:
     """All admissible entropy values up to h_max, sorted and deduplicated."""
-    tower.validate()
     if not 0 < h_max < math.inf:
         raise DomainError(f"h_max must be positive and finite, got {h_max}")
     values = [0.0]
-    for i in range(len(tower)):
-        hi = tower.entropies[i]
-        if hi <= 0:
-            continue
-        for j in range(i + 1):
-            unit = (tower.periods[j] / tower.periods[i]) * hi
-            n = max(1, math.ceil(_n_floor(tower, j, i) - 1e-9))
+    for _, _, unit, floor in _level_pairs(tower):
+        n = max(1, math.ceil(floor - 1e-9))
+        v = n * unit
+        while v <= h_max + 1e-12:
+            values.append(v)
+            n += 1
             v = n * unit
-            while v <= h_max + 1e-12:
-                values.append(v)
-                n += 1
-                v = n * unit
     values.sort()
     out = [values[0]]
     for v in values[1:]:
@@ -310,7 +286,6 @@ class BlockModel:
 def block_model_entropy(tower: RenormTower, model: BlockModel) -> float:
     """Entropy of a block model: the base rotation cost R * log s_j against
     the best orbit-averaged shift power on the level above."""
-    tower.validate()
     j = model.level
     if j + 1 >= len(tower):
         raise TowerError(f"tower has no level {j + 1} for the permuted layer")
@@ -342,23 +317,18 @@ def spectrum_membership(tower: RenormTower, value: float, tol: float = 1e-9) -> 
     Zero is always admissible.  Otherwise a witness (j, i, N) certifies
     value = N * (p_j/p_i) * log s_i with N above the level-consistency floor.
     """
-    tower.validate()
     if not math.isfinite(value):
         raise DomainError(f"entropy value must be finite, got {value}")
+    if not math.isfinite(tol):
+        raise DomainError(f"tol must be finite, got {tol}")
     if value < -tol:
         raise DomainError("entropy values are nonnegative")
     if abs(value) <= tol:
         return MembershipResult(True, None)
-    for i in range(len(tower)):
-        hi = tower.entropies[i]
-        if hi <= 0:
-            continue
-        for j in range(i + 1):
-            unit = (tower.periods[j] / tower.periods[i]) * hi
-            floor = _n_floor(tower, j, i)
-            for n in {math.floor(value / unit), math.ceil(value / unit)}:
-                if n < 1 or n + 1e-9 < floor:
-                    continue
-                if abs(value - n * unit) <= tol:
-                    return MembershipResult(True, (j, i, int(n)))
+    for j, i, unit, floor in _level_pairs(tower):
+        for n in {math.floor(value / unit), math.ceil(value / unit)}:
+            if n < 1 or n + 1e-9 < floor:
+                continue
+            if abs(value - n * unit) <= tol:
+                return MembershipResult(True, (j, i, int(n)))
     return MembershipResult(False, None)

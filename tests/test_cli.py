@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -41,12 +42,39 @@ def test_json_keys_are_sorted_and_stable(capsys):
     assert out.strip() == json.dumps(json.loads(out), sort_keys=True)
 
 
+#: one small argv per command
+SMALL_ARGVS = (
+    ("entropy-lap", "--slope", "1.8", "--n-max", "12"),
+    ("entropy-bowen", "--slope", "2", "--R", "1", "--depth", "8", "--seeds", "32",
+     "--eps", "0.125,0.0625", "--n-max", "5"),
+    ("slope-of-quadratic", "--a", "1.9", "--n-max", "12"),
+    ("folding-pattern", "--slope", "1.8", "--count", "7"),
+    ("salient", "--slope", "2", "--n", "4"),
+    ("chain-build", "--slope", "1.8", "--p", "2", "--eps", "0.2"),
+    ("chain-verify", "--slope", "1.8", "--p", "2", "--eps", "0.2"),
+    ("plevel-align", "--slope", "2", "--q", "6", "--p", "3", "--R", "1", "--n", "4"),
+    ("separated", "--slope", "1.9", "--R", "1", "--depth", "8", "--seeds", "32",
+     "--n-max", "5"),
+    ("renorm-detect", "--a", "1.3", "--max-period", "4"),
+    ("spectrum", "--periods", "1,2", "--entropies", "0.5,0.8", "--h-max", "1.3"),
+    ("spectrum-member", "--periods", "1,2", "--entropies", "0.5,0.8", "--value", "1.2"),
+    ("block-entropy", "--periods", "1,2", "--entropies", "0.5,0.8", "--R", "2",
+     "--powers", "1,3"),
+)
+
+
 def test_reports_are_deterministic_up_to_timing(capsys):
-    a = run_json(capsys, "chain-build", "--slope", "1.8", "--p", "2", "--eps", "0.2")
-    b = run_json(capsys, "chain-build", "--slope", "1.8", "--p", "2", "--eps", "0.2")
-    a.pop("elapsed_seconds")
-    b.pop("elapsed_seconds")
-    assert a == b
+    assert sorted(argv[0] for argv in SMALL_ARGVS) == sorted(cli._build_parsers())
+    timing = re.compile(r'"elapsed_seconds": [^,}]+')
+    for argv in SMALL_ARGVS:
+        for fmt in ("json", "csv", "plain"):
+            outs = []
+            for _ in range(2):
+                code, out, err = run(capsys, *argv, "--format", fmt)
+                assert code == 0, err
+                outs.append(timing.sub('"elapsed_seconds": _', out))
+            assert outs[0] == outs[1], (argv, fmt)
+            assert outs[0].strip()
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +231,13 @@ def test_domain_violation_exits_two(capsys):
         ("chain-build", "--slope", "1.8", "--p", "2", "--eps", "inf"),
         ("spectrum", "--periods", "1,2", "--entropies", "0.5,0.8", "--h-max", "nan"),
         ("spectrum-member", "--periods", "1,2", "--entropies", "0.5,0.8", "--value", "nan"),
+        ("block-entropy", "--periods", "1,2", "--entropies", "nan,0.8", "--R", "2",
+         "--powers", "1,3"),
+        ("spectrum", "--periods", "1,2", "--entropies", "0.5,nan", "--h-max", "1.3"),
+        ("spectrum-member", "--periods", "1,2", "--entropies", "0.5,0.8", "--value", "0.5",
+         "--tol", "nan"),
+        ("renorm-detect", "--a", "1.3", "--max-period", "2", "--tol", "nan"),
+        ("slope-of-quadratic", "--a", "1.5", "--n-max", "8", "--tol", "nan"),
     ],
 )
 def test_non_finite_input_exits_two(capsys, argv):

@@ -231,6 +231,9 @@ def test_slope_of_full_quadratic():
 
 def test_slope_of_superattracting_cycle():
     assert tent_slope_of_quadratic(1.0, n_max=16) == 1.0
+    # affine lap tails (laps 34, 36, 38, 40 at a = 1.3) are zero-entropy too
+    assert tent_slope_of_quadratic(1.3, n_max=20) == 1.0
+    assert tent_slope_of_quadratic(1.2, n_max=16) == 1.0
 
 
 def test_slope_of_doubled_full_map():

@@ -37,6 +37,14 @@ def test_tent_slope_validation():
         TentMap(2.5)
 
 
+def test_critical_point_is_fixed_by_the_family():
+    with pytest.raises(TypeError):
+        TentMap(1.8, 0.3)
+    with pytest.raises(TypeError):
+        QuadraticMap(1.5, 0.2)
+    assert TentMap(1.8).critical == 0.5 and QuadraticMap(1.5).critical == 0.0
+
+
 def test_tent_preimages_values():
     p = TentMap(2.0).preimages(0.0)
     assert list(p) == [0.0, 1.0]

@@ -53,6 +53,8 @@ def test_tower_periods_must_be_proper_multiples():
 def test_tower_rejects_negative_entropy():
     with pytest.raises(TowerError):
         RenormTower((1, 2), (-0.01, 0.1)).validate()
+    with pytest.raises(TowerError, match="finite"):
+        RenormTower((1, 2), (math.nan, 0.1))
 
 
 def test_tower_rejects_entropy_collapse():
