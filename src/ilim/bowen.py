@@ -20,7 +20,7 @@ from .chains import build_chain, limit_diameter
 from .errors import DepthError, DomainError, PartitionError, charge
 from .inverse_limit import BackwardPoint
 from .lap_entropy import EntropyEstimate
-from .maps import TentMap
+from .maps import TentMap, forward_orbit
 
 DEFAULT_EPS_LIST = (2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7)
 
@@ -63,18 +63,18 @@ def sample_points(
         raise DomainError("per_branch_cap and n_seeds must be positive")
     tent = TentMap(s)
     second, top = tent.second_image, tent.top
+    used = charge(n_seeds, 0)
     seeds = np.linspace(second, top, n_seeds + 2)[1:-1]
-    used = 0
     blocks = []
     for x0 in seeds:
         hist = np.array([[x0]])  # columns newest first while growing
         for _ in range(depth):
             y = hist[:, -1]
-            left = np.hstack([hist, (y / s)[:, None]])
             can_right = y >= second
+            used = charge(y.size + int(np.count_nonzero(can_right)), used)
+            left = np.hstack([hist, (y / s)[:, None]])
             right = np.hstack([hist[can_right], (1.0 - y[can_right] / s)[:, None]])
             hist = np.vstack([left, right])
-            used = charge(hist.shape[0], used)
             if hist.shape[0] > per_branch_cap:
                 sel = np.unique((np.arange(per_branch_cap) * hist.shape[0]) // per_branch_cap)
                 hist = hist[sel]
@@ -85,17 +85,8 @@ def sample_points(
 
 def _extend_forward(cloud: PointCloud, steps: int) -> np.ndarray:
     """Cloud matrix with `steps` forward-image columns appended."""
-    arr = cloud.array
-    if steps <= 0:
-        return arr
-    s = cloud.slope
-    ext = np.empty((arr.shape[0], arr.shape[1] + steps))
-    ext[:, : arr.shape[1]] = arr
-    x = arr[:, -1].copy()
-    for k in range(steps):
-        x = np.minimum(s * x, s * (1.0 - x))
-        ext[:, arr.shape[1] + k] = x
-    return ext
+    ahead = forward_orbit(TentMap(cloud.slope), cloud.array[:, -1], steps)
+    return np.hstack([cloud.array[:, :-1], ahead])
 
 
 def _end_columns(depth: int, R: int, n: int) -> np.ndarray:

@@ -19,15 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DepthError, DomainError, charge
-from .inverse_limit import (
-    BackwardPoint,
-    arc_records,
-    p_level,
-    projection,
-    salient_positions,
-    shift,
-)
-from .maps import TentMap, backward_tree
+from .inverse_limit import BackwardPoint, arc_records, projection, salient_positions
+from .maps import TentMap, backward_tree, forward_orbit
 
 _EDGE_TOL = 1e-12
 
@@ -74,6 +67,7 @@ def _base_grid(tent: TentMap, eps: float) -> np.ndarray:
     cells = 1
     while tent.top / cells >= eps / 2.0:
         cells *= 2
+    charge(cells + 3, 0)
     grid = np.linspace(0.0, tent.top, cells + 1)
     return _dedup(np.concatenate([grid, [tent.critical, tent.top]]))
 
@@ -152,10 +146,9 @@ def refines(fine: IntervalChain, coarse: IntervalChain, tol: float = _EDGE_TOL) 
     tent = TentMap(fine.slope)
     fb = np.asarray(fine.breakpoints)
     cb = np.asarray(coarse.breakpoints)
-    left_img = np.minimum(tent.slope * fb[:-1], tent.slope * (1.0 - fb[:-1]))
-    right_img = np.minimum(tent.slope * fb[1:], tent.slope * (1.0 - fb[1:]))
-    lo = np.minimum(left_img, right_img)
-    hi = np.maximum(left_img, right_img)
+    image = forward_orbit(tent, fb, 1)[:, 1]
+    lo = np.minimum(image[:-1], image[1:])
+    hi = np.maximum(image[:-1], image[1:])
     # a link straddling the critical point folds; its image tops out at top
     straddles = (fb[:-1] < tent.critical - tol) & (fb[1:] > tent.critical + tol)
     hi[straddles] = tent.top
@@ -229,6 +222,11 @@ def verify_plevel_alignment(
     its depth-p coordinate must agree with the depth-p coordinate of the
     salient point of level l + M — same value up to tol, hence the same link
     of any level-p chain.
+
+    The check reads one orbit matrix: row i holds the images 0..q+n+R of
+    record i's position, its coordinates after R shifts.  Column q+n+R-p is
+    the depth-p coordinate, and the level is the distance back from it to the
+    latest column within tol of the critical point.
     """
     if not (q >= p >= 0):
         raise DomainError("need q >= p >= 0")
@@ -238,42 +236,41 @@ def verify_plevel_alignment(
     tent = TentMap(s)
     records = arc_records(s, n)
     reference = build_chain(s, p, eps=0.05)
-    salients = salient_positions(s, n + M) if n + M >= 1 else []
-    checks = 0
-    passed = 0
-    failures: list[str] = []
-    for rec in records:
-        pt = BackwardPoint.from_deepest(s, rec.position, q + n)
-        image = pt
-        for _ in range(R):
-            image = shift(image)
-        checks += 1
-        lv = p_level(image, p, tol)
-        if lv != rec.level + M:
+    salients = salient_positions(s, n + M)
+    positions = [r.position for r in records]
+    target = np.array([r.level for r in records]) + M
+    col = q + n + R - p
+    orbit = forward_orbit(tent, positions, q + n + R)
+    value = orbit[:, col]
+    dist = orbit[:, col::-1] - tent.critical
+    hits = np.abs(dist, out=dist) <= tol
+    del dist  # as large as the orbit matrix; freed before the link lookups
+    found = hits.any(axis=1)
+    level = np.argmax(hits, axis=1)
+    # the all-zeros point has level inf
+    all_zero = (orbit.max(axis=1) <= tol) & (orbit.min(axis=1) >= -tol)
+    level_ok = found & ~all_zero & (level == target)
+    # reference of each target level: the critical point at level 0, else the
+    # depth-p coordinate of that level's salient point
+    ref = np.concatenate([[tent.critical], forward_orbit(tent, salients, n + M)[:, -1]])
+    links = np.searchsorted(reference.breakpoints, np.concatenate([value, ref]), side="right")
+    link, ref_link = np.split(np.clip(links - 1, 0, reference.n_links - 1), [value.size])
+    same_link = (target == 0) | (link == ref_link[target])
+    passed = level_ok & ((np.abs(value - ref[target]) <= tol) | same_link)
+    failures = []
+    for i in np.flatnonzero(~passed).tolist():
+        if not level_ok[i]:
+            lv = math.inf if all_zero[i] else int(level[i]) if found[i] else None
             failures.append(
-                f"position {rec.position:.12g}: level {lv} after {R} shifts, "
-                f"expected {rec.level + M}"
+                f"position {positions[i]:.12g}: level {lv} after {R} shifts, "
+                f"expected {int(target[i])}"
             )
-            continue
-        target_level = rec.level + M
-        if target_level == 0:
-            ref_value = tent.critical
-            same_link = True
-        else:
-            sal_pt = BackwardPoint.from_deepest(
-                s, salients[target_level - 1], p + n + M
-            )
-            ref_value = projection(sal_pt, p)
-            same_link = link_of(reference, sal_pt) == link_of(reference, image)
-        value = projection(image, p)
-        if abs(value - ref_value) <= tol or same_link:
-            passed += 1
         else:
             failures.append(
-                f"position {rec.position:.12g}: depth-{p} coordinate {value:.12g} "
-                f"vs salient {ref_value:.12g}"
+                f"position {positions[i]:.12g}: depth-{p} coordinate {value[i]:.12g} "
+                f"vs salient {ref[target[i]]:.12g}"
             )
     return AlignmentReport(
         slope=s, q=q, p=p, R=R, n=n, M=M,
-        checks=checks, passed=passed, failures=tuple(failures),
+        checks=len(records), passed=int(passed.sum()), failures=tuple(failures),
     )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .maps import TOL, QuadraticMap, TentMap, UnimodalMap, backward_tree
+from .maps import TOL, QuadraticMap, TentMap, UnimodalMap, backward_tree, forward_orbit
 
 
 @dataclass(frozen=True)
@@ -151,14 +151,10 @@ def deep_branch_count(map_: TentMap, k: int, delta: float) -> int:
         raise DomainError("iterate count must be nonnegative")
     if delta < 0:
         raise DomainError("delta must be nonnegative")
-    s = map_.slope
     top = map_.top
     if k == 0:
         return 1 if top >= 2.0 * delta - TOL else 0
     pts = np.concatenate(backward_tree(map_, k - 1, window=(0.0, top)))
     breaks = np.concatenate([[0.0], np.sort(pts[(pts > 0.0) & (pts < top)]), [top]])
-    images = breaks.copy()
-    for _ in range(k):
-        images = np.minimum(s * images, s * (1.0 - images))
-    lengths = np.abs(np.diff(images))
+    lengths = np.abs(np.diff(forward_orbit(map_, breaks, k)[:, -1]))
     return int(np.count_nonzero(lengths >= 2.0 * delta - TOL))

@@ -6,6 +6,10 @@ quadratic map with parameter ``a`` is ``x -> 1 - a*x**2`` on [-1, 1] with
 critical point 0.  Both expose the same small protocol (``__call__``,
 ``preimages``, ``critical``, ``domain``) so that lap counting and itinerary
 code can stay generic.
+
+Array iteration lives in two kernels that every other module reads its orbits
+from: ``backward_tree`` (inverse branches of the critical point) and
+``forward_orbit`` (the map applied to many points for many steps).
 """
 
 from __future__ import annotations
@@ -150,16 +154,34 @@ class QuadraticMap:
 UnimodalMap = Union[TentMap, QuadraticMap]
 
 
+def forward_orbit(map_: UnimodalMap, x, steps: int) -> np.ndarray:
+    """Forward orbits of the points ``x``, one row per point.
+
+    Row i holds x_i, f(x_i), ..., f^steps(x_i), each image computed as the
+    scalar ``map_(x)`` computes it, so the values agree bit for bit.  The
+    points are not checked against the domain.  The matrix is charged to the
+    node budget before it is allocated.
+    """
+    if steps < 0:
+        raise DomainError("orbit steps must be nonnegative")
+    x = np.asarray(x, dtype=float).ravel()
+    charge(x.size * (steps + 1), 0)
+    out = np.empty((x.size, steps + 1))
+    out[:, 0] = x
+    for k in range(steps):
+        y = out[:, k]
+        if isinstance(map_, TentMap):
+            out[:, k + 1] = np.minimum(map_.slope * y, map_.slope * (1.0 - y))
+        else:
+            out[:, k + 1] = 1.0 - map_.parameter * y * y
+    return out
+
+
 def critical_orbit(map_: UnimodalMap, n: int) -> list[float]:
     """Forward orbit of the critical point: the first ``n`` images."""
     if n < 1:
         raise DomainError("orbit length must be at least 1")
-    out = []
-    x = map_.critical
-    for _ in range(n):
-        x = map_(x)
-        out.append(x)
-    return out
+    return forward_orbit(map_, map_.critical, n)[0, 1:].tolist()
 
 
 def backward_tree(

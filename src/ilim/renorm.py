@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, TowerError
+from .errors import DomainError, TowerError, charge
 from .lap_entropy import lap_table, zero_or_rate
-from .maps import QuadraticMap, backward_tree, itinerary
+from .maps import QuadraticMap, backward_tree, forward_orbit, itinerary
 
 #: zero-entropy cutoff of the two-step lap ratio (see ``zero_or_rate``)
 _ZERO_RATIO = 0.08
@@ -73,17 +73,10 @@ class RenormTower:
 # detection
 
 
-def _iterate(a: float, x: np.ndarray, k: int) -> np.ndarray:
-    y = np.array(x, dtype=float, copy=True)
-    for _ in range(k):
-        y = 1.0 - a * y * y
-    return y
-
-
-def _fixed_points(a: float, p: int, bound: float, grid: int = 4001) -> list[float]:
+def _fixed_points(quad: QuadraticMap, p: int, bound: float, grid: int = 4001) -> list[float]:
     """Fixed points of the p-th iterate in [-bound, bound], by scan + bisection."""
     xs = np.linspace(-bound, bound, grid)
-    g = _iterate(a, xs, p) - xs
+    g = forward_orbit(quad, xs, p)[:, -1] - xs
     roots = [float(xs[i]) for i in np.flatnonzero(np.abs(g) <= 1e-12)]
     sign_change = np.flatnonzero(g[:-1] * g[1:] < 0)
     if sign_change.size:
@@ -92,7 +85,7 @@ def _fixed_points(a: float, p: int, bound: float, grid: int = 4001) -> list[floa
         glo = g[sign_change].copy()
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            gm = _iterate(a, mid, p) - mid
+            gm = forward_orbit(quad, mid, p)[:, -1] - mid
             same = (gm > 0) == (glo > 0)
             lo = np.where(same, mid, lo)
             glo = np.where(same, gm, glo)
@@ -105,36 +98,33 @@ def _fixed_points(a: float, p: int, bound: float, grid: int = 4001) -> list[floa
     return dedup
 
 
-def _iterate_range(a: float, lo: float, hi: float, k: int, layers) -> tuple[float, float]:
+def _iterate_range(quad: QuadraticMap, lo: float, hi: float, k: int, layers) -> tuple[float, float]:
     """Exact range of the k-th iterate over [lo, hi] via interior critical points."""
     pts = [lo, hi]
     for j in range(min(k, len(layers))):
         inside = layers[j][(layers[j] > lo) & (layers[j] < hi)]
         pts.extend(float(v) for v in inside)
-    vals = _iterate(a, np.array(pts), k)
+    vals = forward_orbit(quad, pts, k)[:, -1]
     return float(vals.min()), float(vals.max())
 
 
-def _restrictive_bound(a: float, p: int, z_cur: float, tol: float) -> float | None:
+def _restrictive_bound(quad: QuadraticMap, p: int, z_cur: float, tol: float) -> float | None:
     """Smallest |w| bounding a period-p restrictive interval inside [-z_cur, z_cur]."""
-    layers = backward_tree(QuadraticMap(a), p - 1)
-    candidates = [w for w in _fixed_points(a, p, z_cur + 1e-12) if abs(w) > 1e-7]
+    layers = backward_tree(quad, p - 1)
+    candidates = [w for w in _fixed_points(quad, p, z_cur + 1e-12) if abs(w) > 1e-7]
     for w in sorted(candidates, key=abs):
-        cycle = [w]
-        for _ in range(p - 1):
-            cycle.append(1.0 - a * cycle[-1] * cycle[-1])
         deriv = 1.0
-        for x in cycle:
-            deriv *= -2.0 * a * x
+        for x in forward_orbit(quad, w, p - 1)[0].tolist():
+            deriv *= -2.0 * quad.parameter * x
         if deriv <= 0:
             continue
         z = abs(w)
-        lo, hi = _iterate_range(a, -z, z, p, layers)
+        lo, hi = _iterate_range(quad, -z, z, p, layers)
         if lo < -z - tol or hi > z + tol:
             continue
         ranges = [(-z, z)]
         for i in range(1, p):
-            ranges.append(_iterate_range(a, -z, z, i, layers))
+            ranges.append(_iterate_range(quad, -z, z, i, layers))
         disjoint = True
         for i in range(p):
             for j in range(i + 1, p):
@@ -203,7 +193,7 @@ def detect_renormalization(a: float, max_period: int = 16, tol: float = 1e-9) ->
         for p in range(2 * periods[-1], max_period + 1, periods[-1]):
             if not _kneading_periodic(a, p, horizon=min(6 * p, 48)):
                 continue
-            z = _restrictive_bound(a, p, z_cur, tol)
+            z = _restrictive_bound(quad, p, z_cur, tol)
             if z is not None:
                 break
             notes.append(f"period {p}: symbolic periodicity without a restrictive interval")
@@ -242,8 +232,11 @@ def entropy_spectrum(tower: RenormTower, h_max: float) -> list[float]:
     if not 0 < h_max < math.inf:
         raise DomainError(f"h_max must be positive and finite, got {h_max}")
     values = [0.0]
+    used = 0
     for _, _, unit, floor in _level_pairs(tower):
         n = max(1, math.ceil(floor - 1e-9))
+        # at most (h_max + 1e-12) / unit - n + 1 values; a unit that underflowed is endless
+        used = charge(max((h_max + 1e-12) / unit - n + 1, 0.0) if unit > 0 else math.inf, used)
         v = n * unit
         while v <= h_max + 1e-12:
             values.append(v)

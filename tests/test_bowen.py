@@ -6,6 +6,8 @@ against an exact maximum-independent-set solver (bitset branch and bound) on
 small subclouds, where the greedy answer must sit within a factor two.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -209,6 +211,18 @@ def test_sampling_respects_node_budget(monkeypatch):
     monkeypatch.setenv("ILIM_MAX_NODES", "50")
     with pytest.raises(ResourceCapError):
         sample_points(2.0, 12, per_branch_cap=64, n_seeds=64)
+
+
+def test_sampling_is_charged_before_it_allocates(monkeypatch):
+    monkeypatch.setenv("ILIM_MAX_NODES", "1000")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError):
+            sample_points(2.0, 4, 1, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_subcloud_identity_when_large_enough():

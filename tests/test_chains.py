@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ilim.chains import (
+    AlignmentReport,
     IntervalChain,
     adjacency_ok,
     build_chain,
@@ -14,11 +16,19 @@ from ilim.chains import (
     refines,
     verify_plevel_alignment,
 )
-from ilim.errors import DepthError, DomainError
-from ilim.inverse_limit import BackwardPoint, arc_records, projection
+from ilim.errors import DepthError, DomainError, ResourceCapError
+from ilim.inverse_limit import (
+    BackwardPoint,
+    arc_records,
+    p_level,
+    projection,
+    salient_positions,
+    shift,
+)
 from ilim.maps import TentMap
 
 SLOPES = [1.6, 1.8, 2.0]
+GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0  # the critical point has period 3
 
 
 def test_breakpoints_contain_critical():
@@ -64,6 +74,18 @@ def test_lifted_mesh_below_eps_at_sufficient_depth(s, p, eps):
     # the unconstrained-history term 2^-p * top must be small against eps
     # before the lifted mesh can drop below eps; these depths clear it
     assert limit_mesh(build_chain(s, p, eps)) < eps
+
+
+def test_base_grid_is_charged_before_it_is_allocated(monkeypatch):
+    monkeypatch.setenv("ILIM_MAX_NODES", "1000")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError):
+            build_chain(1.8, 0, 1e-5)  # 262,144 cells
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_limit_diameter_monotone_in_width():
@@ -184,6 +206,53 @@ def test_alignment_identity_case():
     rep = verify_plevel_alignment(1.8, 4, 4, 0, 6)
     assert rep.M == 0
     assert rep.all_pass
+
+
+def _alignment_by_points(s, q, p, R, n, tol=1e-9):
+    """The alignment check read record by record through the point API."""
+    M = R + q - p
+    reference = build_chain(s, p, eps=0.05)
+    salients = salient_positions(s, n + M)
+    records = arc_records(s, n)
+    passed, failures = 0, []
+    for rec in records:
+        image = BackwardPoint.from_deepest(s, rec.position, q + n)
+        for _ in range(R):
+            image = shift(image)
+        target = rec.level + M
+        level = p_level(image, p, tol)
+        if level != target:
+            failures.append(
+                f"position {rec.position:.12g}: level {level} after {R} shifts, "
+                f"expected {target}"
+            )
+            continue
+        if target == 0:
+            passed += 1
+            continue
+        salient = BackwardPoint.from_deepest(s, salients[target - 1], p + n + M)
+        value, ref = projection(image, p), projection(salient, p)
+        if abs(value - ref) <= tol or link_of(reference, salient) == link_of(reference, image):
+            passed += 1
+        else:
+            failures.append(
+                f"position {rec.position:.12g}: depth-{p} coordinate {value:.12g} "
+                f"vs salient {ref:.12g}"
+            )
+    return AlignmentReport(s, q, p, R, n, M, len(records), passed, tuple(failures))
+
+
+@pytest.mark.parametrize(
+    "args", [(2.0, 6, 3, 1, 8), (1.8, 8, 4, 2, 8), (GOLDEN, 4, 2, 1, 10)]
+)
+def test_alignment_matches_the_point_api(args):
+    assert verify_plevel_alignment(*args) == _alignment_by_points(*args)
+
+
+def test_alignment_failures_at_a_periodic_critical_point():
+    rep = verify_plevel_alignment(GOLDEN, 4, 2, 1, 10)
+    assert (rep.checks, rep.passed) == (232, 0)
+    assert rep.failures[0] == "position 0.00406530937789: level 0 after 1 shifts, expected 3"
 
 
 def test_alignment_rejects_bad_shape():

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ilim.errors import DomainError
+from ilim.errors import DomainError, ResourceCapError
 from ilim.maps import (
     QuadraticMap,
     TentMap,
     core_interval,
     critical_orbit,
+    forward_orbit,
     itinerary,
 )
 
@@ -150,3 +151,54 @@ def test_top_and_second_image_consistent(s):
     t = TentMap(s)
     assert t(t.critical) == pytest.approx(t.top, abs=1e-12)
     assert t(t.top) == pytest.approx(t.second_image, abs=1e-12)
+
+
+# -- the forward kernel ----------------------------------------------------------
+
+
+def _scalar_orbits(map_, xs, steps):
+    rows = []
+    for x in xs:
+        row = [x]
+        for _ in range(steps):
+            row.append(map_(row[-1]))
+        rows.append([v.hex() for v in row])
+    return rows
+
+
+def _hex_rows(orbit):
+    return [[v.hex() for v in row] for row in orbit.tolist()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(slopes, st.lists(unit, min_size=1, max_size=6), st.integers(0, 40))
+def test_forward_orbit_is_the_scalar_tent_orbit(s, xs, steps):
+    t = TentMap(s)
+    orbit = forward_orbit(t, xs, steps)
+    assert orbit.shape == (len(xs), steps + 1)
+    assert _hex_rows(orbit) == _scalar_orbits(t, xs, steps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(min_value=0.0, max_value=2.0, exclude_min=True),
+    st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6),
+    st.integers(0, 40),
+)
+def test_forward_orbit_is_the_scalar_quadratic_orbit(a, xs, steps):
+    q = QuadraticMap(a)
+    assert _hex_rows(forward_orbit(q, xs, steps)) == _scalar_orbits(q, xs, steps)
+
+
+def test_forward_orbit_of_one_point_is_one_row():
+    orbit = forward_orbit(TentMap(2.0), 0.25, 3)
+    assert orbit.tolist() == [[0.25, 0.5, 1.0, 0.0]]
+    with pytest.raises(DomainError):
+        forward_orbit(TentMap(2.0), 0.25, -1)
+
+
+def test_forward_orbit_is_charged_to_the_node_budget(monkeypatch):
+    monkeypatch.setenv("ILIM_MAX_NODES", "100")
+    assert forward_orbit(QuadraticMap(1.5), [0.1] * 10, 9).shape == (10, 10)
+    with pytest.raises(ResourceCapError):
+        forward_orbit(QuadraticMap(1.5), [0.1] * 10, 10)

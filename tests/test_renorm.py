@@ -9,6 +9,7 @@ from ilim import (
     BlockModel,
     DomainError,
     RenormTower,
+    ResourceCapError,
     TowerError,
     block_model_entropy,
     detect_renormalization,
@@ -148,6 +149,14 @@ def test_spectrum_always_contains_zero_and_is_sorted():
 def test_spectrum_needs_positive_ceiling():
     with pytest.raises(DomainError):
         entropy_spectrum(EXAMPLE_TOWER, 0.0)
+
+
+def test_spectrum_is_charged_before_its_values_are_built(monkeypatch):
+    monkeypatch.setenv("ILIM_MAX_NODES", "1000")
+    tower = RenormTower((1,), (1e-4,))  # 10,000 multiples of 1e-4 up to 1
+    with pytest.raises(ResourceCapError):
+        entropy_spectrum(tower, 1.0)
+    assert len(entropy_spectrum(tower, 0.05)) == 501
 
 
 def test_spectrum_values_pass_membership():
