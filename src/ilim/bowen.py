@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import build_chain, limit_diameter
+from .chains import build_chain, limit_diameter, limit_mesh
 from .errors import DepthError, DomainError, PartitionError, charge
 from .inverse_limit import BackwardPoint
 from .lap_entropy import EntropyEstimate
@@ -262,10 +262,9 @@ def partition_blocks(s: float, eps0: float) -> tuple[np.ndarray, int]:
     tent = TentMap(s)
     q = max(1, math.ceil(math.log2(4.0 * tent.top / eps0)))
     chain = build_chain(s, q, eps0 / 4.0)
-    breaks = np.asarray(chain.breakpoints)
-    for i in range(len(breaks) - 1):
-        if limit_diameter(chain, breaks[i], breaks[i + 1]) > 2.0 * eps0:
-            raise PartitionError("single link exceeds the block scale")
+    breaks = chain.breakpoints
+    if limit_mesh(chain) > 2.0 * eps0:  # the widest single link
+        raise PartitionError("single link exceeds the block scale")
     bounds = [breaks[0]]
     i = 0
     while i < len(breaks) - 1:

@@ -25,36 +25,40 @@ from .maps import TentMap, backward_tree, forward_orbit
 _EDGE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntervalChain:
-    """Sorted breakpoints 0 = b_0 < ... < b_m = top at pullback level p."""
+    """Sorted breakpoints 0 = b_0 < ... < b_m = top at pullback level p, kept
+    as a read-only float64 array."""
 
     slope: float
     index: int
-    breakpoints: tuple[float, ...]
+    breakpoints: np.ndarray
+
+    def __post_init__(self) -> None:
+        b = np.array(self.breakpoints, dtype=float)
+        b.flags.writeable = False
+        object.__setattr__(self, "breakpoints", b)
 
     @property
     def mesh(self) -> float:
-        b = self.breakpoints
-        return max(b[i + 1] - b[i] for i in range(len(b) - 1))
+        return float(np.diff(self.breakpoints).max())
 
     @property
     def n_links(self) -> int:
-        return len(self.breakpoints) - 1
+        return self.breakpoints.size - 1
 
     def to_json(self) -> dict:
         return {
             "slope": self.slope,
             "p": self.index,
-            "breakpoints": list(self.breakpoints),
+            "breakpoints": self.breakpoints.tolist(),
             "mesh": self.mesh,
         }
 
 
 def _dedup(a: np.ndarray) -> np.ndarray:
-    a = np.sort(a)
-    if a.size == 0:
-        return a
+    """Sort ``a`` in place; drop entries within _EDGE_TOL of their predecessor."""
+    a.sort()
     keep = np.empty(a.size, dtype=bool)
     keep[0] = True
     np.greater(np.diff(a), _EDGE_TOL, out=keep[1:])
@@ -63,24 +67,32 @@ def _dedup(a: np.ndarray) -> np.ndarray:
 
 def _base_grid(tent: TentMap, eps: float) -> np.ndarray:
     """Level-0 breakpoints: 0, critical, top, plus a power-of-two uniform grid
-    with gap below eps/2.  Power-of-two cell counts nest across eps halvings."""
-    cells = 1
-    while tent.top / cells >= eps / 2.0:
-        cells *= 2
+    with gap below eps/2.  Power-of-two cell counts nest across eps halvings.
+    The count is charged before it is built, and never formed as a float."""
+    k = 0
+    while math.ldexp(tent.top, 1 - k) >= eps:  # top / 2**k >= eps / 2
+        k += 1
+    cells = 2**k
     charge(cells + 3, 0)
     grid = np.linspace(0.0, tent.top, cells + 1)
     return _dedup(np.concatenate([grid, [tent.critical, tent.top]]))
 
 
 def _pullback(tent: TentMap, breaks: np.ndarray) -> np.ndarray:
-    """Preimages of the breakpoints within [0, top], endpoints re-added."""
+    """Preimages of the breakpoints (which lie in [0, top]), endpoints re-added.
+
+    Left preimages lie in [0, top/s], right ones in [1/2, top] up to
+    round-off, which the clip removes; all go into one array.
+    """
     s = tent.slope
-    y = breaks[breaks <= tent.top + _EDGE_TOL]
-    left = y / s
-    right = 1.0 - y[y >= tent.second_image - _EDGE_TOL] / s
-    pre = np.concatenate([left, right, [0.0, tent.top]])
-    pre = pre[(pre >= -_EDGE_TOL) & (pre <= tent.top + _EDGE_TOL)]
-    return _dedup(np.clip(pre, 0.0, tent.top))
+    m = breaks.size
+    right = breaks[breaks >= tent.second_image - _EDGE_TOL] / s
+    pre = np.empty(m + right.size + 2)
+    np.divide(breaks, s, out=pre[:m])
+    np.subtract(1.0, right, out=pre[m:-2])
+    del right  # freed before the sort
+    pre[-2:] = (0.0, tent.top)
+    return _dedup(np.clip(pre, 0.0, tent.top, out=pre))
 
 
 def build_chain(s: float, p: int, eps: float) -> IntervalChain:
@@ -98,9 +110,10 @@ def build_chain(s: float, p: int, eps: float) -> IntervalChain:
     breaks = _base_grid(tent, eps)
     used = charge(breaks.size, 0)
     for _ in range(p):
+        # two preimages per breakpoint plus the two ends, at most
+        used = charge(2 * breaks.size + 2, used)
         breaks = _pullback(tent, breaks)
-        used = charge(breaks.size, used)
-    return IntervalChain(s, p, tuple(float(b) for b in breaks))
+    return IntervalChain(s, p, breaks)
 
 
 def limit_diameter(chain: IntervalChain, lo: float, hi: float) -> float:
@@ -127,11 +140,7 @@ def link_of(chain: IntervalChain, x: BackwardPoint) -> int:
         raise DepthError(f"chain level {chain.index} exceeds point depth {x.depth}")
     if x.slope != chain.slope:
         raise DomainError("point and chain live over different slopes")
-    value = projection(x, chain.index)
-    breaks = chain.breakpoints
-    if value >= breaks[-1]:
-        return chain.n_links - 1
-    j = int(np.searchsorted(np.asarray(breaks), value, side="right")) - 1
+    j = int(np.searchsorted(chain.breakpoints, projection(x, chain.index), side="right")) - 1
     return min(max(j, 0), chain.n_links - 1)
 
 
@@ -144,8 +153,7 @@ def refines(fine: IntervalChain, coarse: IntervalChain, tol: float = _EDGE_TOL) 
             f"refinement compares level p+1 against p, got {fine.index} vs {coarse.index}"
         )
     tent = TentMap(fine.slope)
-    fb = np.asarray(fine.breakpoints)
-    cb = np.asarray(coarse.breakpoints)
+    fb, cb = fine.breakpoints, coarse.breakpoints
     image = forward_orbit(tent, fb, 1)[:, 1]
     lo = np.minimum(image[:-1], image[1:])
     hi = np.maximum(image[:-1], image[1:])
@@ -164,15 +172,14 @@ def adjacency_ok(chain: IntervalChain) -> bool:
     For an interval chain this reduces to the breakpoints being strictly
     increasing: equal neighbours would glue non-adjacent links together.
     """
-    b = chain.breakpoints
-    return all(b[i] < b[i + 1] for i in range(len(b) - 1))
+    return bool((np.diff(chain.breakpoints) > 0).all())
 
 
 def mandatory_ok(chain: IntervalChain, tol: float = 1e-9) -> bool:
     """Every point reaching the critical point within p steps is a breakpoint."""
     tent = TentMap(chain.slope)
     need = np.concatenate(backward_tree(tent, chain.index, window=(0.0, tent.top)))
-    breaks = np.asarray(chain.breakpoints)
+    breaks = chain.breakpoints
     idx = np.searchsorted(breaks, need)
     lo = np.abs(breaks[np.maximum(idx - 1, 0)] - need)
     hi = np.abs(breaks[np.minimum(idx, breaks.size - 1)] - need)
@@ -234,13 +241,12 @@ def verify_plevel_alignment(
         raise DomainError("need R >= 0 and n >= 1")
     M = R + q - p
     tent = TentMap(s)
-    records = arc_records(s, n)
+    arc = arc_records(s, n)
     reference = build_chain(s, p, eps=0.05)
     salients = salient_positions(s, n + M)
-    positions = [r.position for r in records]
-    target = np.array([r.level for r in records]) + M
+    target = arc.levels + M
     col = q + n + R - p
-    orbit = forward_orbit(tent, positions, q + n + R)
+    orbit = forward_orbit(tent, arc.positions, q + n + R)
     value = orbit[:, col]
     dist = orbit[:, col::-1] - tent.critical
     hits = np.abs(dist, out=dist) <= tol
@@ -262,15 +268,15 @@ def verify_plevel_alignment(
         if not level_ok[i]:
             lv = math.inf if all_zero[i] else int(level[i]) if found[i] else None
             failures.append(
-                f"position {positions[i]:.12g}: level {lv} after {R} shifts, "
+                f"position {arc.positions[i]:.12g}: level {lv} after {R} shifts, "
                 f"expected {int(target[i])}"
             )
         else:
             failures.append(
-                f"position {positions[i]:.12g}: depth-{p} coordinate {value[i]:.12g} "
+                f"position {arc.positions[i]:.12g}: depth-{p} coordinate {value[i]:.12g} "
                 f"vs salient {ref[target[i]]:.12g}"
             )
     return AlignmentReport(
         slope=s, q=q, p=p, R=R, n=n, M=M,
-        checks=len(records), passed=int(passed.sum()), failures=tuple(failures),
+        checks=len(arc), passed=int(passed.sum()), failures=tuple(failures),
     )

@@ -130,7 +130,7 @@ def _cmd_chain_build(args):
     chain = chains.build_chain(args.slope, args.p, args.eps)
     out = chain.to_json()
     out["limit_mesh"] = chains.limit_mesh(chain)
-    return out, {"edge": 1e-12}, (("breakpoint",), [(b,) for b in chain.breakpoints])
+    return out, {"edge": 1e-12}, (("breakpoint",), [(b,) for b in chain.breakpoints.tolist()])
 
 
 def _cmd_chain_verify(args):

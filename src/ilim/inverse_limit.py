@@ -11,17 +11,26 @@ coordinate: the point over t has every coordinate equal to a forward image
 of t.  Points on that ray whose history hits the critical point are the
 fold points of the ray; their levels (how far past the reference depth the
 hit occurs) form the folding pattern.
+
+The arcs nest.  Arc n's fold points are the backward-tree nodes in [0, c]
+of layers 0..n, a node of layer j at level n - j.  A node x <= c of layer
+j + 1 is y/s for a node y < top of layer j, so arc n + 1 is arc n divided
+by s, then the layer nodes in (c, top) divided by s, then c at level n + 1:
+each arc's folding pattern is a prefix of the next one's.  As f(x) <= s*x,
+no node of layers 0..j lies below c/s**j, so the level-i salient point of
+arc n (its first fold point of level i) is c/s**(n-i), by repeated division.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DepthError, DomainError
-from .maps import TentMap, backward_tree
+from .maps import TentMap, backward_tree, orbit_snaps
 
 _TOL = 1e-9
 
@@ -170,7 +179,26 @@ class FoldingPattern:
         return len(self.entries)
 
 
-def arc_records(s: float, n: int) -> list[PPointRecord]:
+class Arc(Sequence):
+    """Fold points of one arc as read-only ``positions`` and ``levels`` arrays;
+    an item is a ``PPointRecord``, a slice an ``Arc``."""
+
+    def __init__(self, n: int, positions: np.ndarray, levels: np.ndarray) -> None:
+        positions.flags.writeable = False
+        levels.flags.writeable = False
+        self.n, self.positions, self.levels = n, positions, levels
+
+    def __len__(self) -> int:
+        return self.positions.size
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Arc(self.n, self.positions[i], self.levels[i])
+        level = int(self.levels[i])
+        return PPointRecord(float(self.positions[i]), level, self.n - level)
+
+
+def arc_records(s: float, n: int) -> Arc:
     """Fold points of the arc from the all-zeros endpoint to the n-th salient point.
 
     Positions are the values of the deepest coordinate, in [0, critical], in
@@ -187,52 +215,36 @@ def arc_records(s: float, n: int) -> list[PPointRecord]:
     on_arc = pos <= tent.critical
     pos, steps = pos[on_arc], steps[on_arc]
     order = np.argsort(pos, kind="stable")
-    return [
-        PPointRecord(position=x, level=n - j, preimage_index=j)
-        for x, j in zip(pos[order].tolist(), steps[order].tolist())
-    ]
+    return Arc(n, pos[order], n - steps[order])
 
 
 def arc_to_salient(s: float, n: int) -> FoldingPattern:
     """Folding pattern of the arc ending at the n-th salient point."""
-    levels = [r.level for r in arc_records(s, n)]
-    return FoldingPattern((math.inf, *levels))
+    return FoldingPattern((math.inf, *arc_records(s, n).levels.tolist()))
 
 
 def folding_pattern_prefix(s: float, count: int) -> FoldingPattern:
-    """First ``count`` entries of the folding pattern of the full ray.
-
-    Successive arcs extend each other, so the prefix is read off the first
-    arc long enough to contain it; we still grow until two arcs agree.
-    """
+    """First ``count`` entries of the folding pattern of the full ray, read off
+    the first arc long enough (arcs nest, see the module docstring)."""
     if count < 1:
         raise DomainError("prefix length must be at least 1")
-    prev = None
-    for n in range(2, count + 30):
-        cur = arc_to_salient(s, n).entries[:count]
-        if cur == prev and len(cur) == count:
-            return FoldingPattern(cur)
-        prev = cur
-    raise DomainError("folding-pattern prefix did not stabilize")
+    n = 1
+    while len(arc := arc_records(s, n)) + 1 < count:
+        n += 1
+    return FoldingPattern((math.inf, *arc.levels[: count - 1].tolist()))
 
 
 def salient_positions(s: float, n: int) -> list[float]:
-    """Positions of the first n salient points along the ray.
-
-    The i-th salient point is the first fold point of the arc whose level
-    reaches i; scanning in arc order with a running maximum finds them all.
+    """Positions of the first n salient points along the ray: c/s**(n-i) for
+    level i (see the module docstring).  Where the critical orbit returns to c
+    from the left, these nodes are orbit points, snapped as in backward_tree.
     """
-    records = arc_records(s, n)
-    out = []
-    best = 0
-    for r in records:
-        if r.level > best and r.level >= 1:
-            if r.level != best + 1:
-                raise DomainError(
-                    f"salient levels skipped from {best} to {r.level}; arc too short"
-                )
-            out.append(r.position)
-            best = r.level
-    if best != n:
-        raise DomainError(f"arc only reaches salient level {best}, wanted {n}")
-    return out
+    if n < 1:
+        raise DomainError("arc index must be at least 1")
+    tent = TentMap(s)
+    out = [tent.critical]
+    left = True
+    for node in orbit_snaps(tent, n)[1:n]:
+        left = left and node is not None and node < tent.critical
+        out.append(node if left else out[-1] / s)
+    return out[::-1]

@@ -184,6 +184,18 @@ def critical_orbit(map_: UnimodalMap, n: int) -> list[float]:
     return forward_orbit(map_, map_.critical, n)[0, 1:].tolist()
 
 
+def orbit_snaps(map_: UnimodalMap, depth: int) -> list[float | None]:
+    """For each backward-tree layer j = 0..depth, its critical-orbit node or None.
+
+    The period P of c is read once, within TOL, from its first depth + 1
+    images (P = 0 if none returns).  Then f^(P-j)(c) is a node of layer j for
+    0 < j < P.
+    """
+    orbit = critical_orbit(map_, depth + 1)
+    period = next((k for k, x in enumerate(orbit, 1) if abs(x - map_.critical) <= TOL), 0)
+    return [orbit[period - j - 1] if 0 < j < period else None for j in range(depth + 1)]
+
+
 def backward_tree(
     map_: UnimodalMap, depth: int, window: tuple[float, float] | None = None
 ) -> list[np.ndarray]:
@@ -193,32 +205,29 @@ def backward_tree(
     domain) with f^j(x) = critical and no earlier hit, in no particular order.
     Such a point is fixed by its word of inverse branches, and two words can
     only meet where both branches do: at the top, whose one preimage is the
-    critical point of layer 0.  So the tree needs no deduplication.  The top
-    is a node only when the critical point is periodic; its period P is read
-    once from the forward orbit within TOL.  Each orbit point f^k(c) is then
-    the node of layer P-k nearest to it, and is snapped to its forward value,
+    critical point of layer 0.  So the tree needs no deduplication.  When the
+    critical point is periodic, the node of each layer nearest to that
+    layer's orbit point (see ``orbit_snaps``) is snapped to its forward value,
     so that the tests against the top and the window ends are exact.  Every
     layer is charged to the node budget before it is allocated.
     """
     if depth < 0:
         raise DomainError("tree depth must be nonnegative")
     lo, hi = map_.domain if window is None else window
-    orbit = critical_orbit(map_, depth + 1)
-    top = orbit[0]
-    period = next((k for k, x in enumerate(orbit, 1) if abs(x - map_.critical) <= TOL), None)
+    snaps = orbit_snaps(map_, depth)
     layers = [np.array([map_.critical])]
     used = charge(1, 0)
     for j in range(1, depth + 1):
         y = layers[-1]
-        y = y[y < top]
+        y = y[y < map_.top]
         used = charge(2 * y.size, used)
         if isinstance(map_, TentMap):
             x = np.concatenate([y / map_.slope, 1.0 - y / map_.slope])
         else:
             r = np.sqrt((1.0 - y) / map_.parameter)
             x = np.concatenate([-r, r])
-        if period is not None and j < period:
-            node = orbit[period - j - 1]
+        node = snaps[j]
+        if node is not None:
             x[np.argmin(np.abs(x - node))] = node
         layers.append(x[(x >= lo) & (x <= hi)])
     return layers

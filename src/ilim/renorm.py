@@ -319,7 +319,10 @@ def spectrum_membership(tower: RenormTower, value: float, tol: float = 1e-9) -> 
     if abs(value) <= tol:
         return MembershipResult(True, None)
     for j, i, unit, floor in _level_pairs(tower):
-        for n in {math.floor(value / unit), math.ceil(value / unit)}:
+        ratio = value / unit if unit > 0 else math.inf
+        if not math.isfinite(ratio):
+            raise DomainError(f"value {value} is out of float range against the unit {unit}")
+        for n in {math.floor(ratio), math.ceil(ratio)}:
             if n < 1 or n + 1e-9 < floor:
                 continue
             if abs(value - n * unit) <= tol:

@@ -88,6 +88,35 @@ def test_base_grid_is_charged_before_it_is_allocated(monkeypatch):
     assert peak < 2**20
 
 
+def test_huge_base_grid_is_refused_before_its_size_is_formed():
+    # 2**1064 cells: the count is charged as an integer and never enters a float
+    with pytest.raises(ResourceCapError):
+        build_chain(1.8, 2, 1e-320)
+    with pytest.raises(ResourceCapError):
+        build_chain(1.8, 0, 5e-324)  # eps / 2 underflows to 0
+
+
+def test_pullbacks_are_charged_before_they_are_allocated(monkeypatch):
+    monkeypatch.setenv("ILIM_MAX_NODES", "100000")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError):
+            build_chain(2.0, 20, 0.05)  # 64 * 2**20 + 1 breakpoints
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100000 * 8
+
+
+def test_breakpoints_are_a_read_only_array():
+    ch = IntervalChain(1.8, 0, (0.0, 0.3, 0.6, 0.9))
+    assert ch.breakpoints.dtype == np.float64 and ch.n_links == 3
+    with pytest.raises(ValueError):
+        ch.breakpoints[1] = 0.2
+    assert ch.mesh == pytest.approx(0.3) and adjacency_ok(ch)
+    assert not adjacency_ok(IntervalChain(1.8, 0, (0.0, 0.3, 0.3, 0.9)))
+
+
 def test_limit_diameter_monotone_in_width():
     ch = build_chain(1.8, 3, 0.2)
     assert limit_diameter(ch, 0.1, 0.2) < limit_diameter(ch, 0.1, 0.4)

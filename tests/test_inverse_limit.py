@@ -5,16 +5,20 @@ work on exact preimage enumerations, so everything here is deterministic
 up to float round-off.
 """
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ilim.errors import DepthError, DomainError
 from ilim.inverse_limit import (
+    Arc,
     BackwardPoint,
     FoldingPattern,
+    PPointRecord,
     arc_records,
     arc_to_salient,
     folding_pattern_prefix,
@@ -30,6 +34,7 @@ from ilim.inverse_limit import (
 from ilim.maps import TentMap
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0  # the critical point has period 3
+PERIOD_4 = 1.839286755214161  # the critical point has period 4
 
 slopes = st.floats(min_value=1.05, max_value=2.0, allow_nan=False)
 
@@ -263,6 +268,85 @@ def test_full_slope_palindromic_interior():
         inner = tuple(r.level for r in recs if pos_sn < r.position < 0.5)
         prev = arc_to_salient(2.0, n).entries
         assert inner == tuple(reversed(prev[1:-1]))
+
+
+def test_arc_is_a_read_only_sequence_of_records():
+    arc = arc_records(1.8, 6)
+    assert isinstance(arc, Arc) and len(arc) == arc.positions.size == arc.levels.size
+    assert arc.positions.dtype == np.float64 and arc.levels.dtype.kind == "i"
+    with pytest.raises(ValueError):
+        arc.positions[0] = 1.0
+    with pytest.raises(ValueError):
+        arc.levels[0] = 1
+    rec = arc[-1]
+    assert rec == PPointRecord(0.5, 6, 0)
+    assert type(rec.position) is float and type(rec.level) is int
+    assert type(rec.preimage_index) is int
+    records = list(arc)
+    assert len(records) == len(arc) and records[-1] == rec
+    assert [r.position for r in arc] == arc.positions.tolist()
+    assert all(r.level + r.preimage_index == 6 for r in records)
+    head = arc[:6]
+    assert isinstance(head, Arc) and list(head) == records[:6]
+    assert list(arc[::-2]) == records[::-2]
+    assert dataclasses.replace(arc[2], level=9).level == 9
+    with pytest.raises(IndexError):
+        arc[len(arc)]
+
+
+def _salient_by_scan(s, n):
+    """First occurrence of each level along the arc, scanned with a running maximum."""
+    arc = arc_records(s, n)
+    out, best = [], 0
+    for x, level in zip(arc.positions.tolist(), arc.levels.tolist()):
+        if level > best:
+            assert level == best + 1
+            out.append(x)
+            best = level
+    assert best == n
+    return out
+
+
+def _prefix_by_agreement(s, count):
+    """Grow the arc until two consecutive arcs agree on the first count entries."""
+    prev = None
+    for n in range(2, count + 30):
+        cur = arc_to_salient(s, n).entries[:count]
+        if cur == prev and len(cur) == count:
+            return cur
+        prev = cur
+    raise AssertionError("prefix did not stabilize")
+
+
+REFERENCE_SLOPES = [2.0, 1.9, 1.8, 1.5, 1.4143, 1.3, GOLDEN, PERIOD_4]
+
+
+@pytest.mark.parametrize("s", REFERENCE_SLOPES)
+@pytest.mark.parametrize("n", [1, 5, 12, 18])
+def test_closed_form_salient_points_match_the_scan(s, n):
+    assert [x.hex() for x in salient_positions(s, n)] == [
+        x.hex() for x in _salient_by_scan(s, n)
+    ]
+
+
+def test_closed_form_salient_points_carry_the_tree_snap():
+    # at the period-4 slope the layer-1 node c/s, the salient point one level
+    # below c, is snapped to the orbit value f^3(c)
+    assert (0.5 / PERIOD_4).hex() == "0x1.165e680169fb8p-2"
+    assert salient_positions(PERIOD_4, 5)[-2].hex() == "0x1.165e680169fbcp-2"
+
+
+@pytest.mark.parametrize("s", [1.45, 1.5, 1.6, 1.8, 2.0, GOLDEN, PERIOD_4])
+@pytest.mark.parametrize("count", [1, 2, 3, 7, 12, 20])
+def test_prefix_from_one_arc_matches_the_agreement_loop(s, count):
+    assert folding_pattern_prefix(s, count).entries == _prefix_by_agreement(s, count)
+
+
+def test_salient_points_build_no_tree(monkeypatch):
+    monkeypatch.setenv("ILIM_MAX_NODES", "1000")
+    pos = salient_positions(1.8, 60)
+    assert len(pos) == 60 and all(a < b for a, b in zip(pos, pos[1:]))
+    assert pos[-1] == 0.5
 
 
 # -- salient points ----------------------------------------------------------------

@@ -192,6 +192,12 @@ def test_membership_rejects_negative_values():
         spectrum_membership(EXAMPLE_TOWER, -0.2)
 
 
+def test_membership_rejects_values_beyond_float_range_of_a_unit():
+    # 1e308 / 0.5 overflows, so no multiplier can be checked in floats
+    with pytest.raises(DomainError):
+        spectrum_membership(EXAMPLE_TOWER, 1e308)
+
+
 # ---------------------------------------------------------------------------
 # block models
 
