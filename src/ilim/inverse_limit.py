@@ -197,6 +197,12 @@ class Arc(Sequence):
         level = int(self.levels[i])
         return PPointRecord(float(self.positions[i]), level, self.n - level)
 
+    def __iter__(self):
+        # one conversion of each array, not two numpy scalars per item
+        n = self.n
+        for position, level in zip(self.positions.tolist(), self.levels.tolist()):
+            yield PPointRecord(position, level, n - level)
+
 
 def arc_records(s: float, n: int) -> Arc:
     """Fold points of the arc from the all-zeros endpoint to the n-th salient point.

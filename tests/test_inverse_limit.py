@@ -284,6 +284,9 @@ def test_arc_is_a_read_only_sequence_of_records():
     assert type(rec.preimage_index) is int
     records = list(arc)
     assert len(records) == len(arc) and records[-1] == rec
+    assert records == [arc[i] for i in range(len(arc))]
+    assert all(type(r.position) is float and type(r.level) is int for r in records)
+    assert all(type(r.preimage_index) is int for r in records)
     assert [r.position for r in arc] == arc.positions.tolist()
     assert all(r.level + r.preimage_index == 6 for r in records)
     head = arc[:6]
