@@ -24,6 +24,9 @@ from .maps import TentMap, forward_orbit
 
 DEFAULT_EPS_LIST = (2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7)
 
+#: largest mean squared residual per point of a growth-fit window
+_FIT_RESIDUAL = 0.02
+
 
 @dataclass(eq=False)
 class PointCloud:
@@ -146,7 +149,7 @@ class SeparationCurve:
 def _fit_growth(counts: list[int]) -> tuple[float, tuple[int, int], float, bool]:
     """Slope of log(count) vs n on the longest window with small residual.
 
-    Windows need at least 4 points and residual below 0.02 per point; if none
+    Windows need at least 4 points and residual below _FIT_RESIDUAL per point; if none
     qualifies the best length-4 window is used and flagged.  The terminal
     plateau — a constant suffix where the greedy count has hit the sample's
     packing capacity — is excluded from the search: it measures the cloud,
@@ -168,7 +171,7 @@ def _fit_growth(counts: list[int]) -> tuple[float, tuple[int, int], float, bool]
             slope, icept = np.polyfit(x, y, 1)
             res = float(np.sum((y - (slope * x + icept)) ** 2) / len(x))
             cand = (j - i + 1, -res, slope, (i + 1, j + 1), res)
-            if res < 0.02 and (best is None or cand[:2] > best[:2]):
+            if res < _FIT_RESIDUAL and (best is None or cand[:2] > best[:2]):
                 best = cand
     if best is not None:
         return best[2], best[3], best[4], False
@@ -184,6 +187,13 @@ def _fit_growth(counts: list[int]) -> tuple[float, tuple[int, int], float, bool]
     return fallback[0], fallback[1], fallback[2], True
 
 
+def _scales(eps_list) -> tuple:
+    eps_list = tuple(eps_list)
+    if not eps_list:
+        raise DomainError("the eps list is empty; give at least one scale")
+    return eps_list
+
+
 def separation_curves(
     cloud: PointCloud,
     R: int,
@@ -193,6 +203,7 @@ def separation_curves(
     """Separated-set counts for n = 1..n_max at each eps, with fitted growth."""
     if n_max < 4:
         raise DomainError("n_max must be at least 4")
+    eps_list = _scales(eps_list)
     curves = []
     for eps in eps_list:
         counts = [separated_count(cloud, R, n, eps) for n in range(1, n_max + 1)]
@@ -227,6 +238,7 @@ def entropy_bowen(
     Builds the standard cloud, fits the growth rate per eps, and returns the
     largest rate over the eps list (the small-eps supremum at desk scale).
     """
+    eps_list = _scales(eps_list)
     if 2.0**-depth > min(eps_list) / 4.0:
         warnings.warn(
             "depth truncation is coarse against the finest eps; "

@@ -23,6 +23,8 @@ from .inverse_limit import BackwardPoint, arc_records, projection, salient_posit
 from .maps import TentMap, backward_tree, forward_orbit
 
 _EDGE_TOL = 1e-12
+#: how far a breakpoint or orbit coordinate may sit from the point it stands for
+_MATCH_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,7 +177,7 @@ def adjacency_ok(chain: IntervalChain) -> bool:
     return bool((np.diff(chain.breakpoints) > 0).all())
 
 
-def mandatory_ok(chain: IntervalChain, tol: float = 1e-9) -> bool:
+def mandatory_ok(chain: IntervalChain, tol: float = _MATCH_TOL) -> bool:
     """Every point reaching the critical point within p steps is a breakpoint."""
     tent = TentMap(chain.slope)
     need = np.concatenate(backward_tree(tent, chain.index, window=(0.0, tent.top)))
@@ -220,7 +222,7 @@ class AlignmentReport:
 
 
 def verify_plevel_alignment(
-    s: float, q: int, p: int, R: int, n: int, tol: float = 1e-9
+    s: float, q: int, p: int, R: int, n: int, tol: float = _MATCH_TOL
 ) -> AlignmentReport:
     """Check that R shifts raise fold levels by exactly M = R + q - p.
 

@@ -5,6 +5,10 @@ envelope with inputs, outputs, tolerances and wall-clock time; csv flattens
 the tabular part of the output; plain prints key/value lines.  Exit codes:
 0 success, 1 unknown command, 2 malformed parameters or failed
 preconditions, 3 resource cap exceeded.
+
+``COMMANDS`` is the whole interface: each command's handler and its flags in
+order.  A flag is (flag, type, default), or (flag, type) when it is required;
+a tuple in place of the type lists the choices.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import asdict
 
 from . import bowen, chains, inverse_limit, lap_entropy, renorm
 from .errors import ResourceCapError
@@ -47,7 +52,7 @@ def _ints(text: str) -> list[int]:
 
 
 def _sanitize(obj):
-    """Make values JSON-portable: non-finite floats become strings."""
+    """Make values JSON-portable: non-finite floats become strings, tuples lists."""
     if isinstance(obj, float):
         if math.isinf(obj):
             return "inf" if obj > 0 else "-inf"
@@ -67,23 +72,21 @@ def _tower(args) -> renorm.RenormTower:
     return renorm.RenormTower(tuple(periods), tuple(entropies))
 
 
+def _column(name: str, values) -> tuple:
+    return (name,), [(v,) for v in values]
+
+
 # ---------------------------------------------------------------------------
-# command implementations: each returns (outputs, tolerances, rows)
-# rows is an optional (header, list-of-tuples) pair used by the csv format.
+# handlers: each returns (outputs, tolerances, rows); rows is an optional
+# (header, list-of-tuples) pair used by the csv format.
 
 
-def _cmd_entropy_lap(args):
+def _entropy_lap(args):
     if (args.a is None) == (args.slope is None):
         raise _ArgError("give exactly one of --slope (tent) or --a (quadratic)")
     map_ = QuadraticMap(args.a) if args.a is not None else TentMap(args.slope)
     est = lap_entropy.entropy_lap(map_, args.n_max, args.method)
-    out = {
-        "value": est.value,
-        "method": est.method,
-        "n_used": est.n_used,
-        "residual": est.residual,
-    }
-    return out, {"critical_period": TOL}, None
+    return asdict(est), {"critical_period": TOL}, None
 
 
 def _separation(args):
@@ -91,22 +94,19 @@ def _separation(args):
     separation curves, their json and their csv rows."""
     cloud = bowen.sample_points(args.slope, args.depth, args.branch_cap, args.seeds)
     curves = bowen.separation_curves(cloud, args.R, tuple(_floats(args.eps)), args.n_max)
-    as_json = [
-        {"eps": c.eps, "estimate": c.estimate, "counts": [list(t) for t in c.counts]}
-        for c in curves
-    ]
+    as_json = [{"eps": c.eps, "estimate": c.estimate, "counts": c.counts} for c in curves]
     rows = [(c.eps, n, count, math.log(count)) for c in curves for n, count in c.counts]
     return cloud, curves, as_json, (("eps", "n", "count", "log_count"), rows)
 
 
-def _cmd_entropy_bowen(args):
+def _entropy_bowen(args):
     _, curves, as_json, rows = _separation(args)
     est = bowen.estimate_from_curves(curves)
     out = {"value": est.value, "n_used": est.n_used, "residual": est.residual, "curves": as_json}
-    return out, {"fit_residual_per_point": 0.02}, rows
+    return out, {"fit_residual_per_point": bowen._FIT_RESIDUAL}, rows
 
 
-def _cmd_slope_of_quadratic(args):
+def _slope_of_quadratic(args):
     s, est = lap_entropy.tent_slope_of_quadratic(
         args.a, tol=args.tol, n_max=args.n_max, with_estimate=True
     )
@@ -114,26 +114,25 @@ def _cmd_slope_of_quadratic(args):
     return out, {"zero_entropy_cutoff": args.tol}, None
 
 
-def _cmd_folding_pattern(args):
-    fp = inverse_limit.folding_pattern_prefix(args.slope, args.count)
-    return {"pattern": fp.as_strings()}, {}, (("entry",), [(e,) for e in fp.as_strings()])
+def _folding_pattern(args):
+    pattern = inverse_limit.folding_pattern_prefix(args.slope, args.count).as_strings()
+    return {"pattern": pattern}, {}, _column("entry", pattern)
 
 
-def _cmd_salient(args):
+def _salient(args):
     pos = inverse_limit.salient_positions(args.slope, args.n)
     levels = list(range(1, args.n + 1))
-    rows = list(zip(pos, levels))
-    return {"positions": pos, "levels": levels}, {}, (("position", "level"), rows)
+    rows = (("position", "level"), list(zip(pos, levels)))
+    return {"positions": pos, "levels": levels}, {}, rows
 
 
-def _cmd_chain_build(args):
+def _chain_build(args):
     chain = chains.build_chain(args.slope, args.p, args.eps)
-    out = chain.to_json()
-    out["limit_mesh"] = chains.limit_mesh(chain)
-    return out, {"edge": 1e-12}, (("breakpoint",), [(b,) for b in chain.breakpoints.tolist()])
+    out = {**chain.to_json(), "limit_mesh": chains.limit_mesh(chain)}
+    return out, {"edge": chains._EDGE_TOL}, _column("breakpoint", out["breakpoints"])
 
 
-def _cmd_chain_verify(args):
+def _chain_verify(args):
     coarse = chains.build_chain(args.slope, args.p, args.eps)
     fine = chains.build_chain(args.slope, args.p + 1, args.eps / 2.0)
     out = {
@@ -144,156 +143,89 @@ def _cmd_chain_verify(args):
         "limit_mesh": chains.limit_mesh(coarse),
         "links": coarse.n_links,
     }
-    return out, {"closure": 1e-12, "mandatory": 1e-9}, None
+    return out, {"closure": chains._EDGE_TOL, "mandatory": chains._MATCH_TOL}, None
 
 
-def _cmd_plevel_align(args):
+def _plevel_align(args):
     report = chains.verify_plevel_alignment(args.slope, args.q, args.p, args.R, args.n)
-    return report.to_json(), {"match": 1e-9}, None
+    return report.to_json(), {"match": chains._MATCH_TOL}, None
 
 
-def _cmd_separated(args):
+def _separated(args):
     cloud, _, as_json, rows = _separation(args)
     return {"cloud_size": len(cloud), "curves": as_json}, {}, rows
 
 
-def _cmd_renorm_detect(args):
+def _renorm_detect(args):
     tower = renorm.detect_renormalization(args.a, args.max_period, args.tol)
-    out = {
-        "periods": list(tower.periods),
-        "entropies": list(tower.entropies),
-        "notes": list(tower.notes),
-    }
     rows = list(zip(tower.periods, tower.entropies))
-    return out, {"bisection": args.tol}, (("period", "entropy"), rows)
+    return asdict(tower), {"containment": args.tol}, (("period", "entropy"), rows)
 
 
-def _cmd_spectrum(args):
+def _spectrum(args):
     tower = _tower(args)
     values = renorm.entropy_spectrum(tower, args.h_max)
-    out = {
-        "periods": list(tower.periods),
-        "entropies": list(tower.entropies),
-        "h_max": args.h_max,
-        "spectrum": values,
-    }
-    return out, {"dedup": 1e-12}, (("value",), [(v,) for v in values])
+    out = {"periods": tower.periods, "entropies": tower.entropies, "h_max": args.h_max,
+           "spectrum": values}
+    return out, {"dedup": renorm._SPECTRUM_SPACING}, _column("value", values)
 
 
-def _cmd_spectrum_member(args):
-    tower = _tower(args)
-    res = renorm.spectrum_membership(tower, args.value, args.tol)
-    out = {
-        "value": args.value,
-        "member": res.member,
-        "witness": list(res.witness) if res.witness else None,
-    }
+def _spectrum_member(args):
+    res = renorm.spectrum_membership(_tower(args), args.value, args.tol)
+    out = {"value": args.value, "member": res.member, "witness": res.witness}
     return out, {"match": args.tol}, None
 
 
-def _cmd_block_entropy(args):
+def _block_entropy(args):
     tower = _tower(args)
     model = renorm.BlockModel(R=args.R, powers=tuple(_ints(args.powers)), level=args.level)
     value = renorm.block_model_entropy(tower, model)
-    out = {
-        "value": value,
-        "orbits": [list(o) for o in model.orbit_partition()],
-    }
-    return out, {}, None
+    return {"value": value, "orbits": model.orbit_partition()}, {}, None
+
+
+_TOWER = (("--periods", str), ("--entropies", str))
+
+COMMANDS = {
+    "entropy-lap": (_entropy_lap, (
+        ("--slope", float, None), ("--a", float, None), ("--n-max", int, 24),
+        ("--method", lap_entropy._METHODS, "ratio"))),
+    "entropy-bowen": (_entropy_bowen, (
+        ("--slope", float), ("--R", int), ("--depth", int, 12), ("--n-max", int, 10),
+        ("--eps", str, ",".join(map(str, bowen.DEFAULT_EPS_LIST))), ("--seeds", int, 4096),
+        ("--branch-cap", int, 4))),
+    "slope-of-quadratic": (_slope_of_quadratic, (
+        ("--a", float), ("--tol", float, 0.05), ("--n-max", int, 24))),
+    "folding-pattern": (_folding_pattern, (("--slope", float), ("--count", int))),
+    "salient": (_salient, (("--slope", float), ("--n", int))),
+    "chain-build": (_chain_build, (("--slope", float), ("--p", int), ("--eps", float))),
+    "chain-verify": (_chain_verify, (("--slope", float), ("--p", int), ("--eps", float))),
+    "plevel-align": (_plevel_align, (
+        ("--slope", float), ("--q", int), ("--p", int), ("--R", int), ("--n", int))),
+    "separated": (_separated, (
+        ("--slope", float), ("--R", int), ("--n-max", int, 10), ("--eps", str, "0.015625"),
+        ("--depth", int, 12), ("--seeds", int, 1024), ("--branch-cap", int, 4))),
+    "renorm-detect": (_renorm_detect, (
+        ("--a", float), ("--max-period", int, 16), ("--tol", float, 1e-9))),
+    "spectrum": (_spectrum, (*_TOWER, ("--h-max", float))),
+    "spectrum-member": (_spectrum_member, (*_TOWER, ("--value", float), ("--tol", float, 1e-9))),
+    "block-entropy": (_block_entropy, (
+        *_TOWER, ("--R", int), ("--powers", str), ("--level", int, 0))),
+}
 
 
 @functools.cache
-def _build_parsers() -> dict:
-    """The parser of every command, built on the first call and then reused."""
-    table = {}
-
-    def cmd(name, fn, configure):
-        parser = _Parser(prog=f"ilim {name}", add_help=True)
-        configure(parser)
-        parser.add_argument("--format", choices=("json", "csv", "plain"), default="json")
-        table[name] = (parser, fn)
-
-    def slope_arg(p, required=True):
-        p.add_argument("--slope", type=float, required=required)
-
-    cmd("entropy-lap", _cmd_entropy_lap, lambda p: (
-        p.add_argument("--slope", type=float),
-        p.add_argument("--a", type=float),
-        p.add_argument("--n-max", type=int, default=24),
-        p.add_argument("--method", choices=lap_entropy._METHODS, default="ratio"),
-    ))
-    cmd("entropy-bowen", _cmd_entropy_bowen, lambda p: (
-        slope_arg(p),
-        p.add_argument("--R", type=int, required=True),
-        p.add_argument("--depth", type=int, default=12),
-        p.add_argument("--n-max", type=int, default=10),
-        p.add_argument("--eps", default="0.0625,0.03125,0.015625,0.0078125"),
-        p.add_argument("--seeds", type=int, default=4096),
-        p.add_argument("--branch-cap", type=int, default=4),
-    ))
-    cmd("slope-of-quadratic", _cmd_slope_of_quadratic, lambda p: (
-        p.add_argument("--a", type=float, required=True),
-        p.add_argument("--tol", type=float, default=0.05),
-        p.add_argument("--n-max", type=int, default=24),
-    ))
-    cmd("folding-pattern", _cmd_folding_pattern, lambda p: (
-        slope_arg(p),
-        p.add_argument("--count", type=int, required=True),
-    ))
-    cmd("salient", _cmd_salient, lambda p: (
-        slope_arg(p),
-        p.add_argument("--n", type=int, required=True),
-    ))
-    cmd("chain-build", _cmd_chain_build, lambda p: (
-        slope_arg(p),
-        p.add_argument("--p", type=int, required=True),
-        p.add_argument("--eps", type=float, required=True),
-    ))
-    cmd("chain-verify", _cmd_chain_verify, lambda p: (
-        slope_arg(p),
-        p.add_argument("--p", type=int, required=True),
-        p.add_argument("--eps", type=float, required=True),
-    ))
-    cmd("plevel-align", _cmd_plevel_align, lambda p: (
-        slope_arg(p),
-        p.add_argument("--q", type=int, required=True),
-        p.add_argument("--p", type=int, required=True),
-        p.add_argument("--R", type=int, required=True),
-        p.add_argument("--n", type=int, required=True),
-    ))
-    cmd("separated", _cmd_separated, lambda p: (
-        slope_arg(p),
-        p.add_argument("--R", type=int, required=True),
-        p.add_argument("--n-max", type=int, default=10),
-        p.add_argument("--eps", default="0.015625"),
-        p.add_argument("--depth", type=int, default=12),
-        p.add_argument("--seeds", type=int, default=1024),
-        p.add_argument("--branch-cap", type=int, default=4),
-    ))
-    cmd("renorm-detect", _cmd_renorm_detect, lambda p: (
-        p.add_argument("--a", type=float, required=True),
-        p.add_argument("--max-period", type=int, default=16),
-        p.add_argument("--tol", type=float, default=1e-9),
-    ))
-    cmd("spectrum", _cmd_spectrum, lambda p: (
-        p.add_argument("--periods", required=True),
-        p.add_argument("--entropies", required=True),
-        p.add_argument("--h-max", type=float, required=True),
-    ))
-    cmd("spectrum-member", _cmd_spectrum_member, lambda p: (
-        p.add_argument("--periods", required=True),
-        p.add_argument("--entropies", required=True),
-        p.add_argument("--value", type=float, required=True),
-        p.add_argument("--tol", type=float, default=1e-9),
-    ))
-    cmd("block-entropy", _cmd_block_entropy, lambda p: (
-        p.add_argument("--periods", required=True),
-        p.add_argument("--entropies", required=True),
-        p.add_argument("--R", type=int, required=True),
-        p.add_argument("--powers", required=True),
-        p.add_argument("--level", type=int, default=0),
-    ))
-    return table
+def _parser(name: str) -> _Parser:
+    """The parser of one command, built from its ``COMMANDS`` row on first use."""
+    parser = _Parser(prog=f"ilim {name}")
+    for flag, kind, *default in COMMANDS[name][1]:
+        opts = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+        if default:
+            opts["default"] = default[0]
+        else:
+            opts["required"] = True
+        parser.add_argument(flag, **opts)
+    parser.add_argument("--format", choices=("json", "csv", "plain"), default="json")
+    return parser
 
 
 def _emit(report: dict, fmt: str, rows) -> None:
@@ -320,19 +252,17 @@ def _emit(report: dict, fmt: str, rows) -> None:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    table = _build_parsers()
     if not argv or argv[0] in ("-h", "--help"):
-        print("usage: ilim <command> [options]\ncommands: " + " ".join(sorted(table)))
+        print("usage: ilim <command> [options]\ncommands: " + " ".join(sorted(COMMANDS)))
         return 0
     name, rest = argv[0], argv[1:]
-    if name not in table:
+    if name not in COMMANDS:
         print(f"unknown command: {name}", file=sys.stderr)
         return 1
-    parser, fn = table[name]
     start = time.perf_counter()
     try:
-        args = parser.parse_args(rest)
-        outputs, tolerances, rows = fn(args)
+        args = _parser(name).parse_args(rest)
+        outputs, tolerances, rows = COMMANDS[name][0](args)
     except _ArgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -224,7 +224,8 @@ def backward_tree(
         if isinstance(map_, TentMap):
             x = np.concatenate([y / map_.slope, 1.0 - y / map_.slope])
         else:
-            r = np.sqrt((1.0 - y) / map_.parameter)
+            with np.errstate(over="ignore"):  # a subnormal a: the overflow leaves the domain
+                r = np.sqrt((1.0 - y) / map_.parameter)
             x = np.concatenate([-r, r])
         node = snaps[j]
         if node is not None:

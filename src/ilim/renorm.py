@@ -30,6 +30,8 @@ from .maps import QuadraticMap, backward_tree, forward_orbit, itinerary
 
 #: zero-entropy cutoff of the two-step lap ratio (see ``zero_or_rate``)
 _ZERO_RATIO = 0.08
+#: spectrum values closer than this are one value
+_SPECTRUM_SPACING = 1e-12
 
 
 @dataclass(frozen=True)
@@ -179,6 +181,10 @@ def detect_renormalization(a: float, max_period: int = 16, tol: float = 1e-9) ->
     test but has no such interval is noted.  Each accepted level shrinks the
     search interval to the new restrictive interval.  Every level's entropy
     comes from lap growth, classified by ``zero_or_rate``.
+
+    ``tol`` is the containment slack: a candidate interval [-z, z] is kept
+    when the range of f^p over it stays within [-z - tol, z + tol].  The
+    bisection that finds z runs a fixed 80 steps and does not read it.
     """
     if max_period > 64:
         raise DomainError("max_period capped at 64")
@@ -245,7 +251,7 @@ def entropy_spectrum(tower: RenormTower, h_max: float) -> list[float]:
     values.sort()
     out = [values[0]]
     for v in values[1:]:
-        if v - out[-1] > 1e-12:
+        if v - out[-1] > _SPECTRUM_SPACING:
             out.append(v)
     return out
 

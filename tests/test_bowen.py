@@ -350,6 +350,12 @@ def test_curves_need_four_points():
         separation_curves(cloud, 1, (0.1,), n_max=3)
 
 
+def test_curves_need_at_least_one_scale():
+    cloud = sample_points(2.0, 5, per_branch_cap=4, n_seeds=16)
+    with pytest.raises(DomainError, match="eps list is empty"):
+        separation_curves(cloud, 1, (), n_max=4)
+
+
 def test_forward_and_inverse_growth_rates_agree():
     # the shift and its inverse generate the same orbit structure; a cloud
     # rich in both seeds and branches sees matching growth within ten percent
@@ -383,6 +389,11 @@ def test_entropy_of_identity_power_is_zero():
     est = entropy_bowen(1.7, 0, depth=8, eps_list=(2.0**-3, 2.0**-4), n_max=5, n_seeds=128)
     assert est.value == 0.0
     assert est.method == "bowen"
+
+
+def test_entropy_needs_at_least_one_scale():
+    with pytest.raises(DomainError, match="eps list is empty"):
+        entropy_bowen(1.8, 1, depth=6, eps_list=(), n_max=5, n_seeds=64)
 
 
 def test_shallow_cloud_against_fine_eps_warns():

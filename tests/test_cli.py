@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 
@@ -64,7 +65,7 @@ SMALL_ARGVS = (
 
 
 def test_reports_are_deterministic_up_to_timing(capsys):
-    assert sorted(argv[0] for argv in SMALL_ARGVS) == sorted(cli._build_parsers())
+    assert sorted(argv[0] for argv in SMALL_ARGVS) == sorted(cli.COMMANDS)
     timing = re.compile(r'"elapsed_seconds": [^,}]+')
     for argv in SMALL_ARGVS:
         for fmt in ("json", "csv", "plain"):
@@ -75,6 +76,61 @@ def test_reports_are_deterministic_up_to_timing(capsys):
                 outs.append(timing.sub('"elapsed_seconds": _', out))
             assert outs[0] == outs[1], (argv, fmt)
             assert outs[0].strip()
+
+
+#: each command with only its required flags, and the inputs block it reports
+REQUIRED_ONLY = {
+    "entropy-lap": ((), {"slope": None, "a": None, "n_max": 24, "method": "ratio"}),
+    "entropy-bowen": (("--slope", "2", "--R", "1"), {
+        "slope": 2.0, "R": 1, "depth": 12, "n_max": 10,
+        "eps": "0.0625,0.03125,0.015625,0.0078125", "seeds": 4096, "branch_cap": 4}),
+    "slope-of-quadratic": (("--a", "1.9"), {"a": 1.9, "tol": 0.05, "n_max": 24}),
+    "folding-pattern": (("--slope", "1.8", "--count", "7"), {"slope": 1.8, "count": 7}),
+    "salient": (("--slope", "2", "--n", "4"), {"slope": 2.0, "n": 4}),
+    "chain-build": (("--slope", "1.8", "--p", "2", "--eps", "0.2"),
+                    {"slope": 1.8, "p": 2, "eps": 0.2}),
+    "chain-verify": (("--slope", "1.8", "--p", "2", "--eps", "0.2"),
+                     {"slope": 1.8, "p": 2, "eps": 0.2}),
+    "plevel-align": (("--slope", "2", "--q", "6", "--p", "3", "--R", "1", "--n", "4"),
+                     {"slope": 2.0, "q": 6, "p": 3, "R": 1, "n": 4}),
+    "separated": (("--slope", "1.9", "--R", "1"), {
+        "slope": 1.9, "R": 1, "n_max": 10, "eps": "0.015625", "depth": 12, "seeds": 1024,
+        "branch_cap": 4}),
+    "renorm-detect": (("--a", "1.3"), {"a": 1.3, "max_period": 16, "tol": 1e-9}),
+    "spectrum": (("--periods", "1,2", "--entropies", "0.5,0.8", "--h-max", "1.3"),
+                 {"periods": "1,2", "entropies": "0.5,0.8", "h_max": 1.3}),
+    "spectrum-member": (("--periods", "1,2", "--entropies", "0.5,0.8", "--value", "1.2"),
+                        {"periods": "1,2", "entropies": "0.5,0.8", "value": 1.2, "tol": 1e-9}),
+    "block-entropy": (("--periods", "1,2", "--entropies", "0.5,0.8", "--R", "2",
+                       "--powers", "1,3"),
+                      {"periods": "1,2", "entropies": "0.5,0.8", "R": 2, "powers": "1,3",
+                       "level": 0}),
+}
+
+
+def test_defaults_are_frozen(capsys, monkeypatch):
+    # the handler is stubbed, so the defaults are read without running the library
+    assert sorted(REQUIRED_ONLY) == sorted(cli.COMMANDS)
+    for name, (argv, inputs) in REQUIRED_ONLY.items():
+        stub = (lambda args: ({}, {}, None), cli.COMMANDS[name][1])
+        monkeypatch.setitem(cli.COMMANDS, name, stub)
+        assert run_json(capsys, name, *argv)["inputs"] == inputs, name
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def test_readme_lists_every_command():
+    block = README.split("Commands:\n\n```\n", 1)[1].split("```", 1)[0]
+    assert sorted(block.split()) == sorted(cli.COMMANDS)
+
+
+def test_readme_examples_parse():
+    examples = re.findall(r"^(?:\$ )?ilim (\S+)(.*)$", README, re.M)
+    assert len(examples) >= 13
+    for name, rest in examples:
+        assert name in cli.COMMANDS, name
+        cli._parser(name).parse_args(rest.split())
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +180,7 @@ def test_block_entropy_reports_orbits(capsys):
 
 def test_renorm_detect_small_horizon(capsys):
     report = run_json(capsys, "renorm-detect", "--a", "1.3", "--max-period", "2")
+    assert report["tolerances"] == {"containment": 1e-9}
     assert report["outputs"]["periods"] == [1, 2]
     assert all(abs(h) < 0.02 for h in report["outputs"]["entropies"])
 

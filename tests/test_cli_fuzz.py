@@ -3,7 +3,8 @@
 Each argv draws one of the 13 commands and fills its options with small
 integers and with floats among which are 0, negatives, subnormals, huge
 values, nan and inf.  Under a small node budget the command must exit 0
-with finite outputs, or exit 1, 2 or 3; it must never raise.
+with finite outputs, or exit 1, 2 or 3; it must never raise, and a numpy
+RuntimeWarning (an overflow, say) counts as raising.
 """
 
 import contextlib
@@ -11,6 +12,7 @@ import io
 import json
 import math
 import os
+import warnings
 from unittest import mock
 
 from hypothesis import HealthCheck, example, given, settings
@@ -51,6 +53,16 @@ COMMANDS = {
                       "--powers": "ints", "--level": "int?"},
 }
 
+
+def test_option_map_follows_the_cli_table():
+    # a table flag is (flag, type, default), or (flag, type) when required
+    table = {name: {flag[0]: len(flag) == 2 for flag in flags}
+             for name, (_, flags) in cli.COMMANDS.items()}
+    ours = {name: {flag: not kind.endswith("?") for flag, kind in opts.items()}
+            for name, opts in COMMANDS.items()}
+    assert ours == table
+
+
 KINDS = {
     "int": ints.map(str),
     "float": floats.map(repr),
@@ -88,7 +100,9 @@ def _finite(value, path=()) -> bool:
 def check_argv(argv):
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.dict(os.environ, {"ILIM_MAX_NODES": "20000"}), \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         code = cli.main(argv)
     assert code in (0, 1, 2, 3), (argv, code)
     if code == 0:
@@ -101,6 +115,7 @@ def check_argv(argv):
 @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @example(["chain-build", "--slope", "1.8", "--p", "2", "--eps", "1e-320"])
 @example(["spectrum-member", "--periods", "1,2", "--entropies", "0.5,0.8", "--value", "1e308"])
+@example(["slope-of-quadratic", "--a=1e-320"])
 @given(argvs())
 def test_every_argv_answers_finitely_or_exits_with_a_code(argv):
     check_argv(argv)
