@@ -67,7 +67,6 @@ from .lap_entropy import (
     tent_slope_of_quadratic,
 )
 from .maps import (
-    Preimages,
     QuadraticMap,
     TentMap,
     UnimodalMap,
@@ -101,7 +100,6 @@ __all__ = [
     "PPointRecord",
     "PartitionError",
     "PointCloud",
-    "Preimages",
     "QuadraticMap",
     "RenormTower",
     "ResourceCapError",

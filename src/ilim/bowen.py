@@ -60,8 +60,8 @@ def sample_points(
     so the result is deterministic in the parameters.  Rows are deduplicated
     and sorted lexicographically (the greedy scan order).
     """
-    if depth > 30:
-        raise DomainError("depth capped at 30")
+    if not 0 <= depth <= 30:
+        raise DomainError(f"cloud depth must lie in 0..30, got {depth}")
     if per_branch_cap < 1 or n_seeds < 1:
         raise DomainError("per_branch_cap and n_seeds must be positive")
     tent = TentMap(s)
@@ -75,8 +75,9 @@ def sample_points(
             y = hist[:, -1]
             can_right = y >= second
             used = charge(y.size + int(np.count_nonzero(can_right)), used)
-            left = np.hstack([hist, (y / s)[:, None]])
-            right = np.hstack([hist[can_right], (1.0 - y[can_right] / s)[:, None]])
+            pre = tent.branches(y)
+            left = np.hstack([hist, pre[: y.size, None]])
+            right = np.hstack([hist[can_right], pre[y.size :][can_right][:, None]])
             hist = np.vstack([left, right])
             if hist.shape[0] > per_branch_cap:
                 sel = np.unique((np.arange(per_branch_cap) * hist.shape[0]) // per_branch_cap)

@@ -81,19 +81,15 @@ def _base_grid(tent: TentMap, eps: float) -> np.ndarray:
 
 
 def _pullback(tent: TentMap, breaks: np.ndarray) -> np.ndarray:
-    """Preimages of the breakpoints (which lie in [0, top]), endpoints re-added.
+    """Preimages of the breakpoints, which lie in [0, top] and include 0.
 
-    Left preimages lie in [0, top/s], right ones in [1/2, top] up to
-    round-off, which the clip removes; all go into one array.
+    Left preimages lie in [0, top/s].  Right ones lie in [1/2, top] up to
+    round-off for breakpoints at or above the second image; the rest, and
+    the right preimage 1 of 0, lie at or above top.  The clip sends all of
+    these onto top, so both ends are in the array, and the extra copies of
+    top are dropped with the other duplicates.
     """
-    s = tent.slope
-    m = breaks.size
-    right = breaks[breaks >= tent.second_image - _EDGE_TOL] / s
-    pre = np.empty(m + right.size + 2)
-    np.divide(breaks, s, out=pre[:m])
-    np.subtract(1.0, right, out=pre[m:-2])
-    del right  # freed before the sort
-    pre[-2:] = (0.0, tent.top)
+    pre = tent.branches(breaks)
     return _dedup(np.clip(pre, 0.0, tent.top, out=pre))
 
 

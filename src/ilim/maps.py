@@ -1,11 +1,12 @@
-"""Tent and quadratic interval maps: evaluation, preimages, critical data.
+"""Tent and quadratic interval maps: evaluation, inverse branches, critical data.
 
 The tent map with slope ``s`` is ``x -> min(s*x, s*(1-x))`` on [0, 1]; its
 critical point is 1/2 and the image of the critical point is ``s/2``.  The
 quadratic map with parameter ``a`` is ``x -> 1 - a*x**2`` on [-1, 1] with
-critical point 0.  Both expose the same small protocol (``__call__``,
-``preimages``, ``critical``, ``domain``) so that lap counting and itinerary
-code can stay generic.
+critical point 0.  Both expose the same small protocol (``critical``,
+``domain``, ``top``, scalar ``__call__``, and the array methods ``image`` and
+``branches``) so that the kernels below need no type dispatch.  ``image`` and
+``branches`` are the only place where each map's array formulas are written.
 
 Array iteration lives in two kernels that every other module reads its orbits
 from: ``backward_tree`` (inverse branches of the critical point) and
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Iterator, Union
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -25,28 +26,6 @@ from .errors import DomainError, charge
 #: default absolute tolerance for comparisons against the critical point;
 #: backward_tree reads the period of the critical point with it.
 TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class Preimages:
-    """Sorted preimage set of a single value, with a double-root marker.
-
-    When both inverse branches land on the same point (the value sits exactly
-    at the top of the map) the point is listed once and ``double_root`` is
-    set instead of reporting two equal entries.
-    """
-
-    points: tuple[float, ...]
-    double_root: bool = False
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self.points)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __getitem__(self, i: int) -> float:
-        return self.points[i]
 
 
 @dataclass(frozen=True)
@@ -84,21 +63,17 @@ class TentMap:
             raise DomainError(f"tent map input {x} outside [0, 1]")
         return min(self.slope * x, self.slope * (1.0 - x))
 
-    def preimages(self, y: float, tol: float = TOL) -> Preimages:
-        """Solutions of ``T(x) = y`` in [0, 1], ascending.
+    def image(self, x: np.ndarray) -> np.ndarray:
+        """The map on an array, each value as ``__call__`` computes it."""
+        return np.minimum(self.slope * x, self.slope * (1.0 - x))
 
-        Empty when ``y`` exceeds the top of the map; a single point with
-        ``double_root=True`` when ``y`` equals the top.
-        """
-        if y < -tol:
-            raise DomainError(f"tent map never takes the value {y}")
-        if y > self.top + tol:
-            return Preimages(())
-        lo = y / self.slope
-        hi = 1.0 - y / self.slope
-        if abs(hi - lo) <= tol:
-            return Preimages((self.critical,), double_root=True)
-        return Preimages((lo, hi))
+    def branches(self, y: np.ndarray) -> np.ndarray:
+        """Both inverse branches of the values ``y``: ``y/s``, then ``1 - y/s``."""
+        n = np.size(y)
+        out = np.empty(2 * n)
+        np.divide(y, self.slope, out=out[:n])
+        np.subtract(1.0, out[:n], out=out[n:])
+        return out
 
 
 @dataclass(frozen=True)
@@ -139,16 +114,22 @@ class QuadraticMap:
             raise DomainError(f"quadratic map input {x} outside [-1, 1]")
         return 1.0 - self.parameter * x * x
 
-    def preimages(self, y: float, tol: float = TOL) -> Preimages:
-        """Solutions of ``q(x) = y`` in [-1, 1], ascending."""
-        rad = (1.0 - y) / self.parameter
-        if rad < -tol:
-            return Preimages(())
-        if rad <= tol:
-            return Preimages((0.0,), double_root=True)
-        r = math.sqrt(rad)
-        pts = tuple(x for x in (-r, r) if -1.0 - tol <= x <= 1.0 + tol)
-        return Preimages(tuple(min(max(x, -1.0), 1.0) for x in pts))
+    def image(self, x: np.ndarray) -> np.ndarray:
+        """The map on an array, each value as ``__call__`` computes it."""
+        return 1.0 - self.parameter * x * x
+
+    def branches(self, y: np.ndarray) -> np.ndarray:
+        """Both inverse branches of the values ``y <= 1``: ``-r``, then ``r``,
+        with ``r = sqrt((1 - y)/a)``."""
+        n = np.size(y)
+        out = np.empty(2 * n)
+        r = out[n:]
+        np.subtract(1.0, y, out=r)
+        with np.errstate(over="ignore"):  # a subnormal a: the overflow leaves the domain
+            np.divide(r, self.parameter, out=r)
+        np.sqrt(r, out=r)
+        np.negative(r, out=out[:n])
+        return out
 
 
 UnimodalMap = Union[TentMap, QuadraticMap]
@@ -166,14 +147,10 @@ def forward_orbit(map_: UnimodalMap, x, steps: int) -> np.ndarray:
         raise DomainError("orbit steps must be nonnegative")
     x = np.asarray(x, dtype=float).ravel()
     charge(x.size * (steps + 1), 0)
-    out = np.empty((x.size, steps + 1))
+    out = np.empty((x.size, steps + 1), order="F")  # each step writes one contiguous column
     out[:, 0] = x
     for k in range(steps):
-        y = out[:, k]
-        if isinstance(map_, TentMap):
-            out[:, k + 1] = np.minimum(map_.slope * y, map_.slope * (1.0 - y))
-        else:
-            out[:, k + 1] = 1.0 - map_.parameter * y * y
+        out[:, k + 1] = map_.image(out[:, k])
     return out
 
 
@@ -208,8 +185,10 @@ def backward_tree(
     critical point of layer 0.  So the tree needs no deduplication.  When the
     critical point is periodic, the node of each layer nearest to that
     layer's orbit point (see ``orbit_snaps``) is snapped to its forward value,
-    so that the tests against the top and the window ends are exact.  Every
-    layer is charged to the node budget before it is allocated.
+    so that the tests against the top and the window ends are exact.  Each
+    layer is the one array ``map_.branches`` returns, copied only when some
+    node falls outside the window, and it is charged to the node budget
+    before it is allocated.
     """
     if depth < 0:
         raise DomainError("tree depth must be nonnegative")
@@ -219,18 +198,16 @@ def backward_tree(
     used = charge(1, 0)
     for j in range(1, depth + 1):
         y = layers[-1]
-        y = y[y < map_.top]
+        below = y < map_.top
+        if not below.all():
+            y = y[below]
         used = charge(2 * y.size, used)
-        if isinstance(map_, TentMap):
-            x = np.concatenate([y / map_.slope, 1.0 - y / map_.slope])
-        else:
-            with np.errstate(over="ignore"):  # a subnormal a: the overflow leaves the domain
-                r = np.sqrt((1.0 - y) / map_.parameter)
-            x = np.concatenate([-r, r])
+        x = map_.branches(y)
         node = snaps[j]
         if node is not None:
             x[np.argmin(np.abs(x - node))] = node
-        layers.append(x[(x >= lo) & (x <= hi)])
+        inside = (x >= lo) & (x <= hi)
+        layers.append(x if inside.all() else x[inside])
     return layers
 
 

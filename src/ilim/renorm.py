@@ -188,8 +188,8 @@ def detect_renormalization(a: float, max_period: int = 16, tol: float = 1e-9) ->
     """
     if max_period > 64:
         raise DomainError("max_period capped at 64")
-    if not math.isfinite(tol):
-        raise DomainError(f"tol must be finite, got {tol}")
+    if not 0.0 <= tol < math.inf:
+        raise DomainError(f"tol must be nonnegative and finite, got {tol}")
     quad = QuadraticMap(a)
     periods = [1]
     entropies = [zero_or_rate(lap_table(quad, 20).counts, _ZERO_RATIO)]
@@ -318,8 +318,8 @@ def spectrum_membership(tower: RenormTower, value: float, tol: float = 1e-9) -> 
     """
     if not math.isfinite(value):
         raise DomainError(f"entropy value must be finite, got {value}")
-    if not math.isfinite(tol):
-        raise DomainError(f"tol must be finite, got {tol}")
+    if not 0.0 <= tol < math.inf:
+        raise DomainError(f"tol must be nonnegative and finite, got {tol}")
     if value < -tol:
         raise DomainError("entropy values are nonnegative")
     if abs(value) <= tol:

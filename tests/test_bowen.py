@@ -207,6 +207,11 @@ def test_sampling_rejects_bad_parameters():
         sample_points(2.0, 5, n_seeds=0)
 
 
+def test_sampling_rejects_a_negative_depth():
+    with pytest.raises(DomainError, match="cloud depth"):
+        sample_points(1.9, -2, 1, 8)
+
+
 def test_sampling_respects_node_budget(monkeypatch):
     monkeypatch.setenv("ILIM_MAX_NODES", "50")
     with pytest.raises(ResourceCapError):

@@ -44,6 +44,12 @@ def ray_point(s, t, depth):
     return BackwardPoint.from_deepest(s, t, depth)
 
 
+def tent_inverse(t, y):
+    """Scalar solutions of T(x) = y, written apart from TentMap.branches."""
+    lo, hi = y / t.slope, 1.0 - y / t.slope
+    return [] if y > t.top + 1e-12 else [t.critical] if hi - lo <= 1e-12 else [lo, hi]
+
+
 # -- validation ---------------------------------------------------------------
 
 
@@ -187,7 +193,7 @@ def test_shift_raises_level(s, k, p, extra, bits):
     tm = TentMap(s)
     t = tm.critical
     for i in range(k):  # descend a preimage ladder, branch chosen by a bit
-        pre = [x for x in tm.preimages(t).points if x <= tm.top]
+        pre = [x for x in tent_inverse(tm, t) if x <= tm.top]
         t = pre[(bits >> i) & 1] if len(pre) > 1 else pre[0]
     pt = ray_point(s, t, k + p + extra)  # c planted at backward index p + extra
     lvl = p_level(pt, p)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -58,6 +59,12 @@ def superstable_laps(a0, period, n, digits=60):
     return tuple(counts)
 
 
+def tent_inverse(t, y):
+    """Scalar solutions of T(x) = y, written apart from TentMap.branches."""
+    lo, hi = y / t.slope, 1.0 - y / t.slope
+    return [] if y > t.top + 1e-12 else [t.critical] if hi - lo <= 1e-12 else [lo, hi]
+
+
 def enumerate_branches(s, k, delta):
     """Independent oracle: monotone pieces of the k-th tent iterate on [0, top]
     whose image is at least 2*delta long, by explicit fold-point enumeration."""
@@ -68,7 +75,7 @@ def enumerate_branches(s, k, delta):
         folds.update(level)
         nxt = []
         for y in level:
-            nxt.extend(t.preimages(y).points)
+            nxt.extend(tent_inverse(t, y))
         level = nxt
     cuts = sorted({0.0, t.top} | {x for x in folds if 0.0 < x < t.top})
     count = 0
@@ -185,6 +192,18 @@ def test_resource_cap(monkeypatch):
     monkeypatch.setenv("ILIM_MAX_NODES", "10")
     with pytest.raises(ResourceCapError):
         lap_count(TentMap(2.0), 12)
+
+
+def test_lap_table_keeps_one_array_per_tree_layer():
+    # layers 0..21 hold 2**22 - 1 nodes, 32 MiB; the newest layer is built
+    # as one array of 16 MiB, with no full-size temporaries beside it
+    tracemalloc.start()
+    try:
+        lap_table(QuadraticMap(2.0), 22)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * 2**20
 
 
 # -- deep branch counts ------------------------------------------------------

@@ -120,6 +120,12 @@ def test_detection_rejects_huge_horizons_and_bad_parameters():
         detect_renormalization(2.5)
 
 
+def test_detection_rejects_a_negative_containment_slack():
+    # a slack of -1 would refuse every interval and hide the period-2 level
+    with pytest.raises(DomainError, match="tol"):
+        detect_renormalization(1.3, max_period=2, tol=-1.0)
+
+
 def test_detected_towers_validate():
     for a in (2.0, 1.3, A_STAR):
         detect_renormalization(a, max_period=4).validate()
@@ -190,6 +196,11 @@ def test_below_floor_values_are_rejected():
 def test_membership_rejects_negative_values():
     with pytest.raises(DomainError):
         spectrum_membership(EXAMPLE_TOWER, -0.2)
+
+
+def test_membership_rejects_a_negative_tolerance():
+    with pytest.raises(DomainError, match="tol"):
+        spectrum_membership(EXAMPLE_TOWER, 0.5, tol=-1.0)
 
 
 def test_membership_rejects_values_beyond_float_range_of_a_unit():
