@@ -270,8 +270,8 @@ def partition_blocks(s: float, eps0: float) -> tuple[np.ndarray, int]:
     diameter well under eps0, making every block (except possibly the last)
     land in (eps0, 2*eps0].  Returns (boundaries, chain level).
     """
-    if eps0 <= 0:
-        raise PartitionError("eps0 must be positive")
+    if not 0 < eps0 < math.inf:
+        raise PartitionError(f"eps0 must be positive and finite, got {eps0}")
     tent = TentMap(s)
     q = max(1, math.ceil(math.log2(4.0 * tent.top / eps0)))
     chain = build_chain(s, q, eps0 / 4.0)

@@ -5,8 +5,8 @@ a unimodal map it equals 1 plus the number of interior points whose orbit
 hits the critical point within the first n-1 steps, so the whole table up to
 n_max comes from one backward preimage tree of the critical point
 (``maps.backward_tree``), whose layers are counted exactly, without merging
-nearby points.  Entropy is read off as the exponential growth rate of the
-table.
+nearby points, each as the walk yields it, so no counted layer is held.
+Entropy is read off as the exponential growth rate of the table.
 """
 
 from __future__ import annotations
@@ -41,12 +41,8 @@ def lap_table(map_: UnimodalMap, n_max: int) -> LapTable:
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
     lo, hi = map_.domain
-    counts = []
-    total = 1
-    for layer in backward_tree(map_, n_max - 1):
-        total += int(np.count_nonzero((layer > lo) & (layer < hi)))
-        counts.append(total)
-    return LapTable(map_, tuple(counts))
+    inside = [np.count_nonzero((x > lo) & (x < hi)) for x in backward_tree(map_, n_max - 1)]
+    return LapTable(map_, tuple(1 + int(t) for t in np.cumsum(inside)))
 
 
 def lap_count(map_: UnimodalMap, n: int) -> int:
@@ -154,7 +150,7 @@ def deep_branch_count(map_: TentMap, k: int, delta: float) -> int:
     top = map_.top
     if k == 0:
         return 1 if top >= 2.0 * delta - TOL else 0
-    pts = np.concatenate(backward_tree(map_, k - 1, window=(0.0, top)))
+    pts = np.concatenate(list(backward_tree(map_, k - 1, [(0.0, top)])))
     breaks = np.concatenate([[0.0], np.sort(pts[(pts > 0.0) & (pts < top)]), [top]])
     lengths = np.abs(np.diff(forward_orbit(map_, breaks, k)[:, -1]))
     return int(np.count_nonzero(lengths >= 2.0 * delta - TOL))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Union
+from typing import ClassVar, Iterator, Union
 
 import numpy as np
 
@@ -174,41 +174,44 @@ def orbit_snaps(map_: UnimodalMap, depth: int) -> list[float | None]:
 
 
 def backward_tree(
-    map_: UnimodalMap, depth: int, window: tuple[float, float] | None = None
-) -> list[np.ndarray]:
-    """First-hit preimages of the critical point, layer by layer.
+    map_: UnimodalMap, depth: int, windows: list[tuple[float, float]] | None = None
+) -> Iterator[np.ndarray]:
+    """First-hit preimages of the critical point, yielded layer by layer.
 
-    Entry j, for j = 0..depth, holds the points x of ``window`` (default: the
-    domain) with f^j(x) = critical and no earlier hit, in no particular order.
-    Such a point is fixed by its word of inverse branches, and two words can
-    only meet where both branches do: at the top, whose one preimage is the
-    critical point of layer 0.  So the tree needs no deduplication.  When the
-    critical point is periodic, the node of each layer nearest to that
-    layer's orbit point (see ``orbit_snaps``) is snapped to its forward value,
-    so that the tests against the top and the window ends are exact.  Each
-    layer is the one array ``map_.branches`` returns, copied only when some
-    node falls outside the window, and it is charged to the node budget
-    before it is allocated.
+    Layer 0 is the critical point; layer j = 1..depth holds the points x of
+    ``windows[j % len(windows)]`` (default: the domain) with f^j(x) = critical
+    whose ancestors f^(j-i)(x) lie in the windows of their layers i, in no
+    particular order.  Such a point is fixed by its word of inverse branches,
+    and two words can only meet where both branches do: at the top, whose one
+    preimage is the critical point of layer 0.  So the tree needs no
+    deduplication.  When the critical point is periodic, the node of each
+    layer nearest to that layer's orbit point (see ``orbit_snaps``) is snapped
+    to its forward value, so that the tests against the top and the window
+    ends are exact.  Each layer is the one array ``map_.branches`` returns,
+    copied only when some node falls outside its window, and it is charged to
+    the node budget before it is allocated.  Only the newest layer is held, so
+    a caller that counts each layer as it arrives never holds the whole tree.
     """
     if depth < 0:
         raise DomainError("tree depth must be nonnegative")
-    lo, hi = map_.domain if window is None else window
+    windows = [map_.domain] if windows is None else windows
     snaps = orbit_snaps(map_, depth)
-    layers = [np.array([map_.critical])]
+    x = np.array([map_.critical])
     used = charge(1, 0)
+    yield x
     for j in range(1, depth + 1):
-        y = layers[-1]
-        below = y < map_.top
+        below = x < map_.top
         if not below.all():
-            y = y[below]
-        used = charge(2 * y.size, used)
-        x = map_.branches(y)
+            x = x[below]
+        used = charge(2 * x.size, used)
+        x = map_.branches(x)
         node = snaps[j]
-        if node is not None:
+        if node is not None and x.size:
             x[np.argmin(np.abs(x - node))] = node
+        lo, hi = windows[j % len(windows)]
         inside = (x >= lo) & (x <= hi)
-        layers.append(x if inside.all() else x[inside])
-    return layers
+        x = x if inside.all() else x[inside]
+        yield x
 
 
 def itinerary(map_: UnimodalMap, x: float, n: int, tol: float = TOL) -> str:

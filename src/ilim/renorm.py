@@ -7,7 +7,9 @@ and its mirror image, maps into itself under the p-th iterate while its
 first p images stay pairwise disjoint in the interior.  Its critical
 itinerary then repeats with period p away from the multiples of p.  That
 kneading test is symbolic and cheap, so it gates the search: only a period
-that passes it is tested numerically for such an interval.
+that passes it is tested numerically for such an interval, whose images
+are read off two forward orbits; the return map's laps then come from a
+tree walk kept inside those images, so no whole tree is built.
 
 The admissible entropy values of a tower are 0 together with all numbers
 N * (p_j / p_i) * log s_i where N is an integer at least
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -46,21 +49,22 @@ class RenormTower:
         self.validate()
 
     def validate(self, tol: float = 5e-3) -> None:
-        if not self.periods or self.periods[0] != 1:
+        if not 0.0 <= tol < math.inf:
+            raise TowerError(f"tol must be nonnegative and finite, got {tol}")
+        p, h = self.periods, self.entropies
+        if not p or p[0] != 1:
             raise TowerError("tower must start with period 1")
-        if len(self.periods) != len(self.entropies):
+        if len(p) != len(h):
             raise TowerError("periods and entropies must pair up")
-        for p, q in zip(self.periods, self.periods[1:]):
-            if q % p != 0 or q <= p:
-                raise TowerError(f"period {q} must be a proper multiple of {p}")
-        for h in self.entropies:
-            if not math.isfinite(h):
-                raise TowerError(f"entropy {h} must be finite")
-            if h < -tol:
-                raise TowerError(f"entropy {h} is negative")
-        for (pa, ha), (pb, hb) in zip(
-            zip(self.periods, self.entropies), zip(self.periods[1:], self.entropies[1:])
-        ):
+        for pa, pb in zip(p, p[1:]):
+            if pb % pa != 0 or pb <= pa:
+                raise TowerError(f"period {pb} must be a proper multiple of {pa}")
+        for hi in h:
+            if not math.isfinite(hi):
+                raise TowerError(f"entropy {hi} must be finite")
+            if hi < -tol:
+                raise TowerError(f"entropy {hi} is negative")
+        for pa, ha, pb, hb in zip(p, h, p[1:], h[1:]):
             if ha < (pa / pb) * hb - tol:
                 raise TowerError(
                     f"entropy {ha} at period {pa} cannot fall below "
@@ -100,44 +104,37 @@ def _fixed_points(quad: QuadraticMap, p: int, bound: float, grid: int = 4001) ->
     return dedup
 
 
-def _iterate_range(quad: QuadraticMap, lo: float, hi: float, k: int, layers) -> tuple[float, float]:
-    """Exact range of the k-th iterate over [lo, hi] via interior critical points."""
-    pts = [lo, hi]
-    for j in range(min(k, len(layers))):
-        inside = layers[j][(layers[j] > lo) & (layers[j] < hi)]
-        pts.extend(float(v) for v in inside)
-    vals = forward_orbit(quad, pts, k)[:, -1]
-    return float(vals.min()), float(vals.max())
+def _images(quad: QuadraticMap, w: float, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The images f^m([-z, z]), m = 0..p, z = |w|, as (lo, hi) arrays, and the orbit of w.
+
+    While images 1..m-1 avoid the critical point c, f^(m-1) is monotone on
+    f([-z, z]) = [f(z), f(c)], so image m is the hull of f^m(c) and f^m(w)
+    (W. de Melo and S. van Strien, One-Dimensional Dynamics, 1993, ch. VI).
+    The first image to meet c is still exact and overlaps [-z, z], so the
+    disjointness test refuses the candidate whatever later hulls read.
+    """
+    orbit = forward_orbit(quad, [quad.critical, w], p)
+    lo, hi = orbit.min(axis=0), orbit.max(axis=0)
+    lo[0], hi[0] = -abs(w), abs(w)
+    return lo, hi, orbit[1]
 
 
-def _restrictive_bound(quad: QuadraticMap, p: int, z_cur: float, tol: float) -> float | None:
-    """Smallest |w| bounding a period-p restrictive interval inside [-z_cur, z_cur]."""
-    layers = backward_tree(quad, p - 1)
+def _restrictive_bound(
+    quad: QuadraticMap, p: int, z_cur: float, tol: float
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Images f^m([-z, z]), m = 0..p, of the smallest period-p restrictive
+    interval inside [-z_cur, z_cur] (see ``_images``), or None."""
     candidates = [w for w in _fixed_points(quad, p, z_cur + 1e-12) if abs(w) > 1e-7]
     for w in sorted(candidates, key=abs):
-        deriv = 1.0
-        for x in forward_orbit(quad, w, p - 1)[0].tolist():
-            deriv *= -2.0 * quad.parameter * x
-        if deriv <= 0:
+        lo, hi, orbit = _images(quad, w, p)
+        if np.prod(-2.0 * quad.parameter * orbit[:p]) <= 0:
             continue
-        z = abs(w)
-        lo, hi = _iterate_range(quad, -z, z, p, layers)
-        if lo < -z - tol or hi > z + tol:
+        z = hi[0]
+        if lo[p] < -z - tol or hi[p] > z + tol:
             continue
-        ranges = [(-z, z)]
-        for i in range(1, p):
-            ranges.append(_iterate_range(quad, -z, z, i, layers))
-        disjoint = True
-        for i in range(p):
-            for j in range(i + 1, p):
-                overlap = min(ranges[i][1], ranges[j][1]) - max(ranges[i][0], ranges[j][0])
-                if overlap > 1e-9:
-                    disjoint = False
-                    break
-            if not disjoint:
-                break
-        if disjoint:
-            return z
+        overlap = np.minimum.outer(hi[:p], hi[:p]) - np.maximum.outer(lo[:p], lo[:p])
+        if not (np.triu(overlap, 1) > 1e-9).any():
+            return lo, hi
     return None
 
 
@@ -158,18 +155,22 @@ def _kneading_periodic(a: float, p: int, horizon: int) -> bool:
     return True
 
 
-def _return_map_entropy(a: float, p: int, z: float) -> float:
-    """Entropy of the p-th-iterate return map on [-z, z], from its lap growth."""
+def _return_map_laps(
+    quad: QuadraticMap, p: int, lo: np.ndarray, hi: np.ndarray
+) -> tuple[int, ...]:
+    """Lap numbers of the p-th-iterate return map on [-z, z], z = hi[0], for
+    its iterates 1..n_ret: the tree nodes inside (-z, z) at the layers p*j.
+
+    Such a node's layer-i ancestor is f^(p*j - i) of it, a point of the image
+    f^m([-z, z]), m = -i mod p, since f^p maps [-z, z] into itself.  So the walk
+    keeps layer i in that image alone, and visits only nodes that can reach it.
+    """
     n_ret = max(5, min(12, 22 // p + 1))
-    depth = p * (n_ret - 1)
-    layers = backward_tree(QuadraticMap(a), depth)
-    counts = []
-    total = 0
-    for j in range(n_ret):
-        layer = layers[p * j]
-        total += int(np.count_nonzero((layer > -z + 1e-12) & (layer < z - 1e-12)))
-        counts.append(1 + total)
-    return zero_or_rate(tuple(counts), _ZERO_RATIO)
+    z = hi[0]
+    windows = [(lo[-i % p], hi[-i % p]) for i in range(p)]
+    layers = islice(backward_tree(quad, p * (n_ret - 1), windows), 0, None, p)
+    inside = [np.count_nonzero((x > -z + 1e-12) & (x < z - 1e-12)) for x in layers]
+    return tuple(1 + int(t) for t in np.cumsum(inside))
 
 
 def detect_renormalization(a: float, max_period: int = 16, tol: float = 1e-9) -> RenormTower:
@@ -199,15 +200,15 @@ def detect_renormalization(a: float, max_period: int = 16, tol: float = 1e-9) ->
         for p in range(2 * periods[-1], max_period + 1, periods[-1]):
             if not _kneading_periodic(a, p, horizon=min(6 * p, 48)):
                 continue
-            z = _restrictive_bound(quad, p, z_cur, tol)
-            if z is not None:
+            images = _restrictive_bound(quad, p, z_cur, tol)
+            if images is not None:
                 break
             notes.append(f"period {p}: symbolic periodicity without a restrictive interval")
         else:
             break
         periods.append(p)
-        entropies.append(_return_map_entropy(a, p, z))
-        z_cur = z
+        entropies.append(zero_or_rate(_return_map_laps(quad, p, *images), _ZERO_RATIO))
+        z_cur = float(images[1][0])
     return RenormTower(tuple(periods), tuple(entropies), tuple(notes))
 
 

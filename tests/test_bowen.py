@@ -6,6 +6,7 @@ against an exact maximum-independent-set solver (bitset branch and bound) on
 small subclouds, where the greedy answer must sit within a factor two.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -432,6 +433,18 @@ def test_partition_level_resolves_the_scale():
 def test_partition_rejects_nonpositive_scale():
     with pytest.raises(PartitionError):
         partition_blocks(2.0, 0.0)
+
+
+@pytest.mark.parametrize("eps0", [math.nan, math.inf, -math.inf])
+def test_partition_rejects_a_non_finite_scale(eps0):
+    with pytest.raises(PartitionError, match="finite"):
+        partition_blocks(2.0, eps0)
+
+
+def test_itinerary_bound_rejects_a_non_finite_scale():
+    cloud = sample_points(2.0, 10, per_branch_cap=4, n_seeds=16)
+    with pytest.raises(PartitionError, match="finite"):
+        itinerary_upper_bound(cloud, 1, 1, math.nan, 3)
 
 
 def test_itinerary_count_dominates_separated_count():

@@ -194,16 +194,25 @@ def test_resource_cap(monkeypatch):
         lap_count(TentMap(2.0), 12)
 
 
-def test_lap_table_keeps_one_array_per_tree_layer():
-    # layers 0..21 hold 2**22 - 1 nodes, 32 MiB; the newest layer is built
-    # as one array of 16 MiB, with no full-size temporaries beside it
+def _lap_table_peak(n_max):
     tracemalloc.start()
     try:
-        lap_table(QuadraticMap(2.0), 22)
-        peak = tracemalloc.get_traced_memory()[1]
+        lap_table(QuadraticMap(2.0), n_max)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 48 * 2**20
+
+
+def test_lap_table_keeps_one_array_per_tree_layer():
+    # the newest layer, 2**21 nodes or 16 MiB, is built as one array from
+    # the 8 MiB layer before it, with no full-size temporaries beside them
+    assert _lap_table_peak(22) <= 48 * 2**20
+
+
+def test_lap_table_holds_no_counted_layer():
+    # layers 22 and 23 are 32 and 64 MiB; the 32 MiB of layers 0..21 that
+    # the table has already counted are gone
+    assert _lap_table_peak(24) <= 128 * 2**20
 
 
 # -- deep branch counts ------------------------------------------------------

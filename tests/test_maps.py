@@ -9,6 +9,7 @@ from ilim.errors import DomainError, ResourceCapError
 from ilim.maps import (
     QuadraticMap,
     TentMap,
+    backward_tree,
     core_interval,
     critical_orbit,
     forward_orbit,
@@ -195,3 +196,15 @@ def test_forward_orbit_is_charged_to_the_node_budget(monkeypatch):
     assert forward_orbit(QuadraticMap(1.5), [0.1] * 10, 9).shape == (10, 10)
     with pytest.raises(ResourceCapError):
         forward_orbit(QuadraticMap(1.5), [0.1] * 10, 10)
+
+
+def test_windows_cycle_by_layer():
+    # layer j is kept in windows[j % 2]: odd layers right of c, even ones left
+    tree = backward_tree(TentMap(2.0), 4, [(0.0, 0.5), (0.5, 1.0)])
+    assert [x.tolist() for x in tree] == [[0.5], [0.75], [0.375], [0.8125], [0.40625]]
+
+
+def test_an_empty_windowed_layer_skips_the_snap():
+    quad = QuadraticMap(1.7548776662466927)  # c has period 3: layers 1 and 2 snap
+    layers = list(backward_tree(quad, 4, [(0.5, 0.6)]))
+    assert [x.size for x in layers] == [1, 0, 0, 0, 0]
