@@ -206,8 +206,13 @@ def separation_curves(
         raise DomainError("n_max must be at least 4")
     eps_list = _scales(eps_list)
     curves = []
+    used = 0  # one budget total for the whole call
     for eps in eps_list:
-        counts = [separated_count(cloud, R, n, eps) for n in range(1, n_max + 1)]
+        counts = []
+        for n in range(1, n_max + 1):
+            # per point: a row of the scan's extended matrix, and its n distances
+            used = charge(len(cloud) * (cloud.depth + 1 + max(R * (n - 1), 0) + n), used)
+            counts.append(separated_count(cloud, R, n, eps))
         if len(set(counts)) == 1:
             curves.append(
                 SeparationCurve(eps, tuple(enumerate(counts, 1)), 0.0, (1, n_max), 0.0)

@@ -176,7 +176,7 @@ def adjacency_ok(chain: IntervalChain) -> bool:
 def mandatory_ok(chain: IntervalChain, tol: float = _MATCH_TOL) -> bool:
     """Every point reaching the critical point within p steps is a breakpoint."""
     tent = TentMap(chain.slope)
-    need = np.concatenate(list(backward_tree(tent, chain.index, [(0.0, tent.top)])))
+    need = np.concatenate(list(backward_tree(tent, chain.index)))
     breaks = chain.breakpoints
     idx = np.searchsorted(breaks, need)
     lo = np.abs(breaks[np.maximum(idx - 1, 0)] - need)

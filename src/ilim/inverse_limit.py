@@ -215,7 +215,7 @@ def arc_records(s: float, n: int) -> Arc:
     if n < 1:
         raise DomainError("arc index must be at least 1")
     tent = TentMap(s)
-    layers = list(backward_tree(tent, n, [(0.0, tent.top)]))
+    layers = list(backward_tree(tent, n))
     pos = np.concatenate(layers)
     steps = np.repeat(np.arange(n + 1), [layer.size for layer in layers])
     on_arc = pos <= tent.critical

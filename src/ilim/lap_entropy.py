@@ -1,12 +1,8 @@
 """Lap numbers and entropy from lap growth.
 
-lap(f^n) counts the maximal monotonicity intervals of the n-th iterate.  For
-a unimodal map it equals 1 plus the number of interior points whose orbit
-hits the critical point within the first n-1 steps, so the whole table up to
-n_max comes from one backward preimage tree of the critical point
-(``maps.backward_tree``), whose layers are counted exactly, without merging
-nearby points, each as the walk yields it, so no counted layer is held.
-Entropy is read off as the exponential growth rate of the table.
+lap(f^n) counts the maximal monotonicity intervals of the n-th iterate; the
+table up to n_max is one walk of ``maps.lap_pieces``, whose cost grows with n
+and not with the laps.  Entropy is read off as the table's growth rate.
 """
 
 from __future__ import annotations
@@ -14,10 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError
-from .maps import TOL, QuadraticMap, TentMap, UnimodalMap, backward_tree, forward_orbit
+from .maps import TOL, QuadraticMap, TentMap, UnimodalMap, lap_pieces
 
 
 @dataclass(frozen=True)
@@ -37,12 +31,10 @@ class LapTable:
 
 
 def lap_table(map_: UnimodalMap, n_max: int) -> LapTable:
-    """Exact lap numbers for n = 1..n_max via the backward tree of the critical point."""
+    """Exact lap numbers for n = 1..n_max from the piece images over the domain."""
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
-    lo, hi = map_.domain
-    inside = [np.count_nonzero((x > lo) & (x < hi)) for x in backward_tree(map_, n_max - 1)]
-    return LapTable(map_, tuple(1 + int(t) for t in np.cumsum(inside)))
+    return LapTable(map_, tuple(sum(p.values()) for p in lap_pieces(map_, *map_.domain, n_max)))
 
 
 def lap_count(map_: UnimodalMap, n: int) -> int:
@@ -137,20 +129,11 @@ def tent_slope_of_quadratic(
 
 
 def deep_branch_count(map_: TentMap, k: int, delta: float) -> int:
-    """Branches of T^k on [0, top] whose image interval has length >= 2*delta.
-
-    Branch endpoints are the interior points of [0, top] whose orbit reaches
-    the critical point in fewer than k steps; on each monotone piece the
-    image length is the gap between the endpoint images.
-    """
-    if k < 0:
-        raise DomainError("iterate count must be nonnegative")
-    if delta < 0:
-        raise DomainError("delta must be nonnegative")
-    top = map_.top
-    if k == 0:
-        return 1 if top >= 2.0 * delta - TOL else 0
-    pts = np.concatenate(list(backward_tree(map_, k - 1, [(0.0, top)])))
-    breaks = np.concatenate([[0.0], np.sort(pts[(pts > 0.0) & (pts < top)]), [top]])
-    lengths = np.abs(np.diff(forward_orbit(map_, breaks, k)[:, -1]))
-    return int(np.count_nonzero(lengths >= 2.0 * delta - TOL))
+    """Branches of T^k on [0, top] whose image interval has length >= 2*delta;
+    the branches are the monotone pieces that ``maps.lap_pieces`` follows."""
+    if not delta >= 0:
+        raise DomainError(f"delta must be nonnegative, got {delta}")
+    pieces = {(0.0, map_.top): 1}
+    for pieces in lap_pieces(map_, 0.0, map_.top, k):
+        pass
+    return sum(n for (lo, hi), n in pieces.items() if hi - lo >= 2.0 * delta - TOL)

@@ -8,9 +8,9 @@ critical point 0.  Both expose the same small protocol (``critical``,
 ``branches``) so that the kernels below need no type dispatch.  ``image`` and
 ``branches`` are the only place where each map's array formulas are written.
 
-Array iteration lives in two kernels that every other module reads its orbits
-from: ``backward_tree`` (inverse branches of the critical point) and
-``forward_orbit`` (the map applied to many points for many steps).
+Other modules read their orbits from three kernels: ``backward_tree`` (the
+critical point's preimages, where node positions are needed), ``forward_orbit``
+(many points, many steps) and ``lap_pieces`` (piece images, for lap numbers).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DomainError, charge
 
 #: default absolute tolerance for comparisons against the critical point;
-#: backward_tree reads the period of the critical point with it.
+#: orbit_snaps reads the period of the critical point with it.
 TOL = 1e-12
 
 
@@ -173,45 +173,66 @@ def orbit_snaps(map_: UnimodalMap, depth: int) -> list[float | None]:
     return [orbit[period - j - 1] if 0 < j < period else None for j in range(depth + 1)]
 
 
-def backward_tree(
-    map_: UnimodalMap, depth: int, windows: list[tuple[float, float]] | None = None
-) -> Iterator[np.ndarray]:
+def backward_tree(map_: UnimodalMap, depth: int) -> Iterator[np.ndarray]:
     """First-hit preimages of the critical point, yielded layer by layer.
 
-    Layer 0 is the critical point; layer j = 1..depth holds the points x of
-    ``windows[j % len(windows)]`` (default: the domain) with f^j(x) = critical
-    whose ancestors f^(j-i)(x) lie in the windows of their layers i, in no
-    particular order.  Such a point is fixed by its word of inverse branches,
-    and two words can only meet where both branches do: at the top, whose one
-    preimage is the critical point of layer 0.  So the tree needs no
-    deduplication.  When the critical point is periodic, the node of each
-    layer nearest to that layer's orbit point (see ``orbit_snaps``) is snapped
-    to its forward value, so that the tests against the top and the window
-    ends are exact.  Each layer is the one array ``map_.branches`` returns,
-    copied only when some node falls outside its window, and it is charged to
-    the node budget before it is allocated.  Only the newest layer is held, so
-    a caller that counts each layer as it arrives never holds the whole tree.
+    Layer j = 0..depth holds the points x of [domain start, top] with
+    f^j(x) = critical, in no particular order; two words of inverse branches
+    meet only at the top, whose one preimage is c, so none is deduplicated.
+    At a periodic c, the node of each layer nearest its orbit point (see
+    ``orbit_snaps``) is snapped to it, so the test against the top is exact.
+    Each layer is charged to the node budget before it is built.
     """
     if depth < 0:
         raise DomainError("tree depth must be nonnegative")
-    windows = [map_.domain] if windows is None else windows
+    lo, hi = map_.domain[0], map_.top
     snaps = orbit_snaps(map_, depth)
     x = np.array([map_.critical])
     used = charge(1, 0)
     yield x
     for j in range(1, depth + 1):
-        below = x < map_.top
+        below = x < hi
         if not below.all():
             x = x[below]
         used = charge(2 * x.size, used)
         x = map_.branches(x)
         node = snaps[j]
-        if node is not None and x.size:
+        if node is not None:
             x[np.argmin(np.abs(x - node))] = node
-        lo, hi = windows[j % len(windows)]
         inside = (x >= lo) & (x <= hi)
         x = x if inside.all() else x[inside]
         yield x
+
+
+def lap_pieces(map_: UnimodalMap, lo: float, hi: float, steps: int) -> Iterator[dict]:
+    """Images of the monotone pieces of f^k on [lo, hi], yielded for k = 1..steps.
+
+    Each image is a (low, high) pair held once with the number of pieces that
+    share it, so lap(f^k) is the sum of the counts.  A step cuts each image at
+    c when c lies strictly inside it; f is monotone on each half, which maps to
+    the hull of its end images under the scalar ``map_(x)`` (J. Milnor and W.
+    Thurston, LNM 1342, 1988).  At a periodic c (see ``orbit_snaps``) the
+    orbit point before c maps to c exactly, so images ending there are not cut
+    again by rounding.  Each step is charged before it is built: its images
+    and the 64-bit words of their counts.
+    """
+    if steps < 0:
+        raise DomainError("iterate count must be nonnegative")
+    c = map_.critical
+    before_c = orbit_snaps(map_, max(steps, 1))[1]
+    pieces = {(lo, hi): 1}
+    used = 0
+    for _ in range(steps):
+        used = charge(sum(2 * (2 + (n.bit_length() >> 6)) for n in pieces.values()), used)
+        ends = {x: c if x == before_c else map_(x) for x in {c}.union(*pieces)}
+        nxt: dict[tuple[float, float], int] = {}
+        for (a, b), n in pieces.items():
+            for u, v in ((a, c), (c, b)) if a < c < b else ((a, b),):
+                fu, fv = ends[u], ends[v]
+                key = (fu, fv) if fu <= fv else (fv, fu)
+                nxt[key] = nxt.get(key, 0) + n
+        pieces = nxt
+        yield pieces
 
 
 def itinerary(map_: UnimodalMap, x: float, n: int, tol: float = TOL) -> str:

@@ -8,8 +8,8 @@ first p images stay pairwise disjoint in the interior.  Its critical
 itinerary then repeats with period p away from the multiples of p.  That
 kneading test is symbolic and cheap, so it gates the search: only a period
 that passes it is tested numerically for such an interval, whose images
-are read off two forward orbits; the return map's laps then come from a
-tree walk kept inside those images, so no whole tree is built.
+are read off two forward orbits; the return map's laps then come from the
+piece images of [-z, z], read every p-th step.
 
 The admissible entropy values of a tower are 0 together with all numbers
 N * (p_j / p_i) * log s_i where N is an integer at least
@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
 from .errors import DomainError, TowerError, charge
 from .lap_entropy import lap_table, zero_or_rate
-from .maps import QuadraticMap, backward_tree, forward_orbit, itinerary
+from .maps import QuadraticMap, forward_orbit, itinerary, lap_pieces
 
 #: zero-entropy cutoff of the two-step lap ratio (see ``zero_or_rate``)
 _ZERO_RATIO = 0.08
@@ -155,22 +154,13 @@ def _kneading_periodic(a: float, p: int, horizon: int) -> bool:
     return True
 
 
-def _return_map_laps(
-    quad: QuadraticMap, p: int, lo: np.ndarray, hi: np.ndarray
-) -> tuple[int, ...]:
+def _return_map_laps(quad: QuadraticMap, p: int, lo: np.ndarray, hi: np.ndarray) -> tuple:
     """Lap numbers of the p-th-iterate return map on [-z, z], z = hi[0], for
-    its iterates 1..n_ret: the tree nodes inside (-z, z) at the layers p*j.
-
-    Such a node's layer-i ancestor is f^(p*j - i) of it, a point of the image
-    f^m([-z, z]), m = -i mod p, since f^p maps [-z, z] into itself.  So the walk
-    keeps layer i in that image alone, and visits only nodes that can reach it.
-    """
+    its iterates j = 1..n_ret: those of f^(p*j), read off ``maps.lap_pieces``."""
     n_ret = max(5, min(12, 22 // p + 1))
-    z = hi[0]
-    windows = [(lo[-i % p], hi[-i % p]) for i in range(p)]
-    layers = islice(backward_tree(quad, p * (n_ret - 1), windows), 0, None, p)
-    inside = [np.count_nonzero((x > -z + 1e-12) & (x < z - 1e-12)) for x in layers]
-    return tuple(1 + int(t) for t in np.cumsum(inside))
+    z = float(hi[0])
+    walk = enumerate(lap_pieces(quad, -z, z, p * n_ret), 1)
+    return tuple(sum(pieces.values()) for k, pieces in walk if k % p == 0)
 
 
 def detect_renormalization(a: float, max_period: int = 16, tol: float = 1e-9) -> RenormTower:

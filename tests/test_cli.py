@@ -306,6 +306,15 @@ def test_non_finite_input_exits_two(capsys, argv):
 
 def test_resource_cap_exits_three(capsys, monkeypatch):
     monkeypatch.setenv("ILIM_MAX_NODES", "100")
-    code, _, err = run(capsys, "entropy-lap", "--slope", "2", "--n-max", "20")
+    code, _, err = run(capsys, "entropy-lap", "--slope", "1.8", "--n-max", "20")
     assert code == 3
+    assert "resource cap" in err
+
+
+def test_separated_scans_share_one_budget(capsys, monkeypatch):
+    # at R = 0 no scan extends the cloud, yet a million of them add up
+    monkeypatch.setenv("ILIM_MAX_NODES", "20000")
+    code, out, err = run(capsys, "separated", "--slope", "1.8", "--R", "0", "--n-max",
+                         "1000000", "--seeds", "8", "--depth", "4", "--eps", "0.1")
+    assert (code, out) == (3, "")
     assert "resource cap" in err

@@ -4,7 +4,8 @@ Each argv draws one of the 13 commands and fills its options with small
 integers and with floats among which are 0, negatives, subnormals, huge
 values, nan and inf.  Under a small node budget the command must exit 0
 with finite outputs, or exit 1, 2 or 3; it must never raise, and a numpy
-RuntimeWarning (an overflow, say) counts as raising.
+RuntimeWarning (an overflow, say) counts as raising.  The argvs in
+``OVER_BUDGET`` would run for minutes without a budget, and must exit 3.
 """
 
 import contextlib
@@ -110,12 +111,27 @@ def check_argv(argv):
         assert _finite(outputs), (argv, outputs)
     else:
         assert out.getvalue() == "" and err.getvalue(), argv
+    return code
+
+
+#: argvs whose work the budget must stop, not a wall clock
+OVER_BUDGET = (
+    ["entropy-lap", "--slope", "1.8", "--n-max", "1000000"],
+    ["separated", "--slope", "1.8", "--R", "0", "--n-max", "1000000", "--seeds", "8",
+     "--depth", "4", "--eps", "0.1"],
+)
 
 
 @settings(max_examples=500, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @example(["chain-build", "--slope", "1.8", "--p", "2", "--eps", "1e-320"])
 @example(["spectrum-member", "--periods", "1,2", "--entropies", "0.5,0.8", "--value", "1e308"])
 @example(["slope-of-quadratic", "--a=1e-320"])
+@example(OVER_BUDGET[0])
+@example(OVER_BUDGET[1])
 @given(argvs())
 def test_every_argv_answers_finitely_or_exits_with_a_code(argv):
     check_argv(argv)
+
+
+def test_long_runs_exit_three_under_the_budget():
+    assert [check_argv(argv) for argv in OVER_BUDGET] == [3, 3]

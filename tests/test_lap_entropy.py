@@ -37,26 +37,52 @@ def grid_scan_laps(map_, n, grid=1_000_000):
     return 1 + int(np.sum(d[1:] != d[:-1]))
 
 
-def superstable_laps(a0, period, n, digits=60):
-    """Independent oracle: laps of the quadratic map whose critical point has
-    the given period, the parameter nearest a0, from a backward tree of the
-    critical point held at `digits` decimal digits."""
+def tree_laps(kind, p0, n, period=0, digits=60):
+    """Independent oracle: lap numbers of f^1..f^n counted on the whole backward
+    tree of the critical point over the domain, held at `digits` decimal digits.
+    ``kind`` is "tent" (slope p0) or "quad" (parameter p0).  Given a period,
+    the parameter is first moved, by the secant method, to the one nearest p0
+    at which the critical point has that period."""
+    tent = kind == "tent"
     with localcontext() as ctx:
         ctx.prec = digits
-        a = Decimal(a0)
-        for _ in range(20):  # Newton's method on a -> q_a^period(0)
-            x, dx = Decimal(0), Decimal(0)
+        c = Decimal("0.5") if tent else Decimal(0)
+        lo, hi = (Decimal(0), Decimal(1)) if tent else (Decimal(-1), Decimal(1))
+
+        def f(p, x):
+            return p * min(x, 1 - x) if tent else 1 - p * x * x
+
+        def returns(p):  # f^period(c) - c
+            x = c
             for _ in range(period):
-                x, dx = 1 - a * x * x, -x * x - 2 * a * x * dx
-            a -= x / dx
-        top = 1 - Decimal(10) ** (20 - digits)  # the top's one preimage is 0
-        layer, total, counts = [Decimal(0)], 1, []
+                x = f(p, x)
+            return x - c
+
+        p = Decimal(p0)
+        if period:
+            q = p * (1 + Decimal("1e-9"))
+            for _ in range(40):
+                gp, gq = returns(p), returns(q)
+                if gp == gq:
+                    break
+                p, q = q, q - gq * (q - p) / (gq - gp)
+        top = f(p, c) - Decimal(10) ** (20 - digits)  # the top's one preimage is c
+        layer, total, counts = [c], 1, []
         for _ in range(n):
-            total += sum(1 for x in layer if -1 < x < 1)
+            total += sum(1 for x in layer if lo < x < hi)
             counts.append(total)
-            roots = [((1 - y) / a).sqrt() for y in layer if y < top]
-            layer = [x for r in roots if r <= 1 for x in (-r, r)]
+            if tent:
+                layer = [x for y in layer if y < top for x in (y / p, 1 - y / p)]
+            else:
+                roots = [((1 - y) / p).sqrt() for y in layer if y < top]
+                layer = [x for r in roots if r <= 1 for x in (-r, r)]
     return tuple(counts)
+
+
+def superstable_laps(a0, period, n, digits=60):
+    """Independent oracle: laps of the quadratic map whose critical point has
+    the given period, the parameter nearest a0 (see ``tree_laps``)."""
+    return tree_laps("quad", a0, n, period, digits)
 
 
 def tent_inverse(t, y):
@@ -120,6 +146,27 @@ def test_lap_against_grid_scan_with_periodic_critical_point(map_):
 def test_lap_at_superstable_parameter(a, period):
     # at 1.9997740486937274 the top, computed backwards, falls an ulp below 1
     assert lap_table(QuadraticMap(a), 12).counts == superstable_laps(a, period, 12)
+
+
+TREE_GRID = [
+    ("tent", 1.3, 0), ("tent", 1.5, 0), ("tent", 1.7, 0), ("tent", 1.9, 0), ("tent", 2.0, 0),
+    ("tent", GOLDEN, 3), ("tent", 1.839286755214161, 4),
+    ("quad", 1.3, 0), ("quad", 1.5, 0), ("quad", 1.9, 0), ("quad", 2.0, 0),
+    ("quad", SUPERSTABLE_4, 4), ("quad", 1.7548776662466927, 3),
+    ("quad", 1.9997740486937274, 8),
+]
+
+
+@pytest.mark.parametrize("kind,p,period", TREE_GRID)
+def test_lap_table_counts_the_whole_preimage_tree(kind, p, period):
+    map_ = TentMap(p) if kind == "tent" else QuadraticMap(p)
+    assert lap_table(map_, 12).counts == tree_laps(kind, p, 12, period)
+
+
+@pytest.mark.parametrize("s", [1.5, 1.8, GOLDEN])
+def test_deep_lap_tables_give_log_slope(s):
+    # 200 steps hold at most 200 piece images, not the 1.8**200 laps
+    assert abs(entropy_lap(TentMap(s), 200, "ratio2").value - math.log(s)) <= 1e-4
 
 
 def test_quadratic_full_parameter():
@@ -204,15 +251,21 @@ def _lap_table_peak(n_max):
 
 
 def test_lap_table_keeps_one_array_per_tree_layer():
-    # the newest layer, 2**21 nodes or 16 MiB, is built as one array from
-    # the 8 MiB layer before it, with no full-size temporaries beside them
+    # the bound is that of a tree walk whose newest layer, 2**21 nodes or
+    # 16 MiB, is built from the 8 MiB layer before it; the piece walk builds
+    # no layer, and at a = 2 it holds the one image [-1, 1]
     assert _lap_table_peak(22) <= 48 * 2**20
 
 
 def test_lap_table_holds_no_counted_layer():
-    # layers 22 and 23 are 32 and 64 MiB; the 32 MiB of layers 0..21 that
-    # the table has already counted are gone
+    # the bound is that of a tree walk that holds only its newest layers, of
+    # 32 and 64 MiB; the piece walk holds one step's images and no layer
     assert _lap_table_peak(24) <= 128 * 2**20
+
+
+def test_lap_table_peak_does_not_grow_with_the_laps():
+    # 2**24 laps from one image held with its count, not from 2**24 nodes
+    assert _lap_table_peak(24) < 2**20
 
 
 # -- deep branch counts ------------------------------------------------------
@@ -220,6 +273,11 @@ def test_lap_table_holds_no_counted_layer():
 
 def test_deep_branches_full_tent():
     assert deep_branch_count(TentMap(2.0), 4, 0.01) == 16
+
+
+def test_deep_branches_refuse_a_nan_delta():
+    with pytest.raises(DomainError, match="delta"):
+        deep_branch_count(TentMap(1.8), 3, math.nan)
 
 
 def test_deep_branches_identity():

@@ -14,6 +14,7 @@ from ilim.maps import (
     critical_orbit,
     forward_orbit,
     itinerary,
+    lap_pieces,
 )
 
 slopes = st.floats(min_value=1.0, max_value=2.0, exclude_min=True, allow_nan=False)
@@ -198,13 +199,34 @@ def test_forward_orbit_is_charged_to_the_node_budget(monkeypatch):
         forward_orbit(QuadraticMap(1.5), [0.1] * 10, 10)
 
 
-def test_windows_cycle_by_layer():
-    # layer j is kept in windows[j % 2]: odd layers right of c, even ones left
-    tree = backward_tree(TentMap(2.0), 4, [(0.0, 0.5), (0.5, 1.0)])
-    assert [x.tolist() for x in tree] == [[0.5], [0.75], [0.375], [0.8125], [0.40625]]
+# -- the tree and the piece walk ----------------------------------------------
 
 
-def test_an_empty_windowed_layer_skips_the_snap():
-    quad = QuadraticMap(1.7548776662466927)  # c has period 3: layers 1 and 2 snap
-    layers = list(backward_tree(quad, 4, [(0.5, 0.6)]))
-    assert [x.size for x in layers] == [1, 0, 0, 0, 0]
+@pytest.mark.parametrize("map_", [TentMap(1.5), TentMap(1.9), QuadraticMap(1.7)])
+def test_backward_tree_keeps_domain_start_to_top(map_):
+    lo, hi = map_.domain[0], map_.top
+    for j, x in enumerate(backward_tree(map_, 8)):
+        assert x.size and ((x >= lo) & (x <= hi)).all()
+        assert np.allclose(forward_orbit(map_, x, j)[:, -1], map_.critical, atol=1e-9)
+
+
+def test_full_tent_pieces_share_one_image():
+    steps = list(lap_pieces(TentMap(2.0), 0.0, 1.0, 6))
+    assert steps == [{(0.0, 1.0): 2**k} for k in range(1, 7)]
+
+
+def test_pieces_that_end_at_a_periodic_critical_point_are_not_cut():
+    # the golden-mean slope: c has period 3, and f^2(c) maps to c exactly, so
+    # after the first steps the images stay [0, top], [f(top), top] and [c, top]
+    t = TentMap((1.0 + math.sqrt(5.0)) / 2.0)
+    *_, last = lap_pieces(t, 0.0, 1.0, 30)
+    assert sorted(last) == [(0.0, t.top), (t(t.top), t.top), (t.critical, t.top)]
+
+
+def test_lap_pieces_are_charged_to_the_node_budget(monkeypatch):
+    monkeypatch.setenv("ILIM_MAX_NODES", "100")
+    assert len(list(lap_pieces(TentMap(1.8), 0.0, 1.0, 6))) == 6
+    with pytest.raises(ResourceCapError):
+        list(lap_pieces(TentMap(1.8), 0.0, 1.0, 20))
+    with pytest.raises(DomainError):
+        list(lap_pieces(TentMap(1.8), 0.0, 1.0, -1))
