@@ -164,7 +164,7 @@ def _fit_growth(counts: list[int]) -> tuple[float, tuple[int, int], float, bool]
         trimmed = counts
     logs = np.log(np.asarray(trimmed, dtype=float))
     ns = np.arange(1, len(trimmed) + 1, dtype=float)
-    best = None  # (length, -residual, slope, window)
+    best = fallback = None  # (length, -residual, slope, window, residual)
     for i in range(len(trimmed)):
         for j in range(i + 3, len(trimmed)):
             x = ns[i : j + 1]
@@ -174,18 +174,12 @@ def _fit_growth(counts: list[int]) -> tuple[float, tuple[int, int], float, bool]
             cand = (j - i + 1, -res, slope, (i + 1, j + 1), res)
             if res < _FIT_RESIDUAL and (best is None or cand[:2] > best[:2]):
                 best = cand
-    if best is not None:
-        return best[2], best[3], best[4], False
-    fallback = None
-    for i in range(len(trimmed) - 3):
-        x, y = ns[i : i + 4], logs[i : i + 4]
-        slope, icept = np.polyfit(x, y, 1)
-        res = float(np.sum((y - (slope * x + icept)) ** 2) / 4)
-        if fallback is None or res < fallback[2]:
-            fallback = (slope, (i + 1, i + 4), res)
-    if fallback is None:
+            if j == i + 3 and (fallback is None or res < fallback[4]):
+                fallback = cand
+    chosen = best or fallback
+    if chosen is None:
         return 0.0, (1, len(counts)), 0.0, True
-    return fallback[0], fallback[1], fallback[2], True
+    return chosen[2], chosen[3], chosen[4], best is None
 
 
 def _scales(eps_list) -> tuple:

@@ -20,11 +20,7 @@ import numpy as np
 
 from .errors import DepthError, DomainError, charge
 from .inverse_limit import BackwardPoint, arc_records, projection, salient_positions
-from .maps import TentMap, backward_tree, forward_orbit
-
-_EDGE_TOL = 1e-12
-#: how far a breakpoint or orbit coordinate may sit from the point it stands for
-_MATCH_TOL = 1e-9
+from .maps import MATCH_TOL, TOL, TentMap, backward_tree, forward_orbit
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,11 +55,11 @@ class IntervalChain:
 
 
 def _dedup(a: np.ndarray) -> np.ndarray:
-    """Sort ``a`` in place; drop entries within _EDGE_TOL of their predecessor."""
+    """Sort ``a`` in place; drop entries within TOL of their predecessor."""
     a.sort()
     keep = np.empty(a.size, dtype=bool)
     keep[0] = True
-    np.greater(np.diff(a), _EDGE_TOL, out=keep[1:])
+    np.greater(np.diff(a), TOL, out=keep[1:])
     return a[keep]
 
 
@@ -142,8 +138,8 @@ def link_of(chain: IntervalChain, x: BackwardPoint) -> int:
     return min(max(j, 0), chain.n_links - 1)
 
 
-def refines(fine: IntervalChain, coarse: IntervalChain, tol: float = _EDGE_TOL) -> bool:
-    """True when the image of every fine link lies inside one coarse closed link."""
+def refines(fine: IntervalChain, coarse: IntervalChain) -> bool:
+    """True when every fine link's image lies in one coarse closed link, to TOL."""
     if fine.slope != coarse.slope:
         raise DomainError("chains live over different slopes")
     if fine.index != coarse.index + 1:
@@ -156,11 +152,11 @@ def refines(fine: IntervalChain, coarse: IntervalChain, tol: float = _EDGE_TOL) 
     lo = np.minimum(image[:-1], image[1:])
     hi = np.maximum(image[:-1], image[1:])
     # a link straddling the critical point folds; its image tops out at top
-    straddles = (fb[:-1] < tent.critical - tol) & (fb[1:] > tent.critical + tol)
+    straddles = (fb[:-1] < tent.critical - TOL) & (fb[1:] > tent.critical + TOL)
     hi[straddles] = tent.top
     j = np.searchsorted(cb, 0.5 * (lo + hi)) - 1
     j = np.clip(j, 0, len(cb) - 2)
-    ok = (lo >= cb[j] - tol) & (hi <= cb[j + 1] + tol)
+    ok = (lo >= cb[j] - TOL) & (hi <= cb[j + 1] + TOL)
     return bool(ok.all())
 
 
@@ -173,15 +169,15 @@ def adjacency_ok(chain: IntervalChain) -> bool:
     return bool((np.diff(chain.breakpoints) > 0).all())
 
 
-def mandatory_ok(chain: IntervalChain, tol: float = _MATCH_TOL) -> bool:
-    """Every point reaching the critical point within p steps is a breakpoint."""
+def mandatory_ok(chain: IntervalChain) -> bool:
+    """Every point reaching the critical point within p steps is a breakpoint, to MATCH_TOL."""
     tent = TentMap(chain.slope)
     need = np.concatenate(list(backward_tree(tent, chain.index)))
     breaks = chain.breakpoints
     idx = np.searchsorted(breaks, need)
     lo = np.abs(breaks[np.maximum(idx - 1, 0)] - need)
     hi = np.abs(breaks[np.minimum(idx, breaks.size - 1)] - need)
-    return bool((np.minimum(lo, hi) <= tol).all())
+    return bool((np.minimum(lo, hi) <= MATCH_TOL).all())
 
 
 @dataclass(frozen=True)
@@ -217,21 +213,19 @@ class AlignmentReport:
         }
 
 
-def verify_plevel_alignment(
-    s: float, q: int, p: int, R: int, n: int, tol: float = _MATCH_TOL
-) -> AlignmentReport:
+def verify_plevel_alignment(s: float, q: int, p: int, R: int, n: int) -> AlignmentReport:
     """Check that R shifts raise fold levels by exactly M = R + q - p.
 
     Every fold point of level l on the arc (read at reference depth q) must,
     after R shifts, be a fold point of level l + M at reference depth p, and
     its depth-p coordinate must agree with the depth-p coordinate of the
-    salient point of level l + M — same value up to tol, hence the same link
-    of any level-p chain.
+    salient point of level l + M — same value up to MATCH_TOL, hence the same
+    link of any level-p chain.
 
     The check reads one orbit matrix: row i holds the images 0..q+n+R of
     record i's position, its coordinates after R shifts.  Column q+n+R-p is
     the depth-p coordinate, and the level is the distance back from it to the
-    latest column within tol of the critical point.
+    latest column within MATCH_TOL of the critical point.
     """
     if not (q >= p >= 0):
         raise DomainError("need q >= p >= 0")
@@ -247,12 +241,12 @@ def verify_plevel_alignment(
     orbit = forward_orbit(tent, arc.positions, q + n + R)
     value = orbit[:, col]
     dist = orbit[:, col::-1] - tent.critical
-    hits = np.abs(dist, out=dist) <= tol
+    hits = np.abs(dist, out=dist) <= MATCH_TOL
     del dist  # as large as the orbit matrix; freed before the link lookups
     found = hits.any(axis=1)
     level = np.argmax(hits, axis=1)
     # the all-zeros point has level inf
-    all_zero = (orbit.max(axis=1) <= tol) & (orbit.min(axis=1) >= -tol)
+    all_zero = (orbit.max(axis=1) <= MATCH_TOL) & (orbit.min(axis=1) >= -MATCH_TOL)
     level_ok = found & ~all_zero & (level == target)
     # reference of each target level: the critical point at level 0, else the
     # depth-p coordinate of that level's salient point
@@ -260,7 +254,7 @@ def verify_plevel_alignment(
     links = np.searchsorted(reference.breakpoints, np.concatenate([value, ref]), side="right")
     link, ref_link = np.split(np.clip(links - 1, 0, reference.n_links - 1), [value.size])
     same_link = (target == 0) | (link == ref_link[target])
-    passed = level_ok & ((np.abs(value - ref[target]) <= tol) | same_link)
+    passed = level_ok & ((np.abs(value - ref[target]) <= MATCH_TOL) | same_link)
     failures = []
     for i in np.flatnonzero(~passed).tolist():
         if not level_ok[i]:

@@ -23,9 +23,12 @@ from dataclasses import asdict
 
 from . import bowen, chains, inverse_limit, lap_entropy, renorm
 from .errors import ResourceCapError
-from .maps import TOL, QuadraticMap, TentMap
+from .maps import MATCH_TOL, TOL, QuadraticMap, TentMap
 
 SCHEMA = "ilim/1"
+
+_CRITICAL = {"critical_period": TOL}  # backward trees, lap pieces, salient points
+_TOWER_SLACK = {"tower_slack": renorm._TOWER_SLACK}  # every command that checks a tower
 
 
 class _ArgError(Exception):
@@ -77,7 +80,8 @@ def _column(name: str, values) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# handlers: each returns (outputs, tolerances, rows); rows is an optional
+# handlers: each returns (outputs, tolerances, rows); tolerances names every
+# constant that the command's path decides with, rows is an optional
 # (header, list-of-tuples) pair used by the csv format.
 
 
@@ -86,7 +90,7 @@ def _entropy_lap(args):
         raise _ArgError("give exactly one of --slope (tent) or --a (quadratic)")
     map_ = QuadraticMap(args.a) if args.a is not None else TentMap(args.slope)
     est = lap_entropy.entropy_lap(map_, args.n_max, args.method)
-    return asdict(est), {"critical_period": TOL}, None
+    return asdict(est), _CRITICAL, None
 
 
 def _separation(args):
@@ -107,29 +111,27 @@ def _entropy_bowen(args):
 
 
 def _slope_of_quadratic(args):
-    s, est = lap_entropy.tent_slope_of_quadratic(
-        args.a, tol=args.tol, n_max=args.n_max, with_estimate=True
-    )
+    s, est = lap_entropy.tent_slope_of_quadratic(args.a, n_max=args.n_max, with_estimate=True)
     out = {"slope": s, "entropy": est.value, "residual": est.residual}
-    return out, {"zero_entropy_cutoff": args.tol}, None
+    return out, {"zero_entropy_cutoff": lap_entropy._ZERO_CUTOFF, **_CRITICAL}, None
 
 
 def _folding_pattern(args):
     pattern = inverse_limit.folding_pattern_prefix(args.slope, args.count).as_strings()
-    return {"pattern": pattern}, {}, _column("entry", pattern)
+    return {"pattern": pattern}, _CRITICAL, _column("entry", pattern)
 
 
 def _salient(args):
     pos = inverse_limit.salient_positions(args.slope, args.n)
     levels = list(range(1, args.n + 1))
     rows = (("position", "level"), list(zip(pos, levels)))
-    return {"positions": pos, "levels": levels}, {}, rows
+    return {"positions": pos, "levels": levels}, _CRITICAL, rows
 
 
 def _chain_build(args):
     chain = chains.build_chain(args.slope, args.p, args.eps)
     out = {**chain.to_json(), "limit_mesh": chains.limit_mesh(chain)}
-    return out, {"edge": chains._EDGE_TOL}, _column("breakpoint", out["breakpoints"])
+    return out, {"edge": TOL}, _column("breakpoint", out["breakpoints"])
 
 
 def _chain_verify(args):
@@ -143,12 +145,12 @@ def _chain_verify(args):
         "limit_mesh": chains.limit_mesh(coarse),
         "links": coarse.n_links,
     }
-    return out, {"closure": chains._EDGE_TOL, "mandatory": chains._MATCH_TOL}, None
+    return out, {"closure": TOL, "mandatory": MATCH_TOL, "edge": TOL, **_CRITICAL}, None
 
 
 def _plevel_align(args):
     report = chains.verify_plevel_alignment(args.slope, args.q, args.p, args.R, args.n)
-    return report.to_json(), {"match": chains._MATCH_TOL}, None
+    return report.to_json(), {"match": MATCH_TOL, "edge": TOL, **_CRITICAL}, None
 
 
 def _separated(args):
@@ -157,9 +159,9 @@ def _separated(args):
 
 
 def _renorm_detect(args):
-    tower = renorm.detect_renormalization(args.a, args.max_period, args.tol)
+    tower = renorm.detect_renormalization(args.a, args.max_period)
     rows = list(zip(tower.periods, tower.entropies))
-    return asdict(tower), {"containment": args.tol}, (("period", "entropy"), rows)
+    return asdict(tower), renorm.DETECT_TOLERANCES, (("period", "entropy"), rows)
 
 
 def _spectrum(args):
@@ -167,20 +169,21 @@ def _spectrum(args):
     values = renorm.entropy_spectrum(tower, args.h_max)
     out = {"periods": tower.periods, "entropies": tower.entropies, "h_max": args.h_max,
            "spectrum": values}
-    return out, {"dedup": renorm._SPECTRUM_SPACING}, _column("value", values)
+    tolerances = {"dedup": TOL, "h_max_slack": TOL, "level_floor": MATCH_TOL, **_TOWER_SLACK}
+    return out, tolerances, _column("value", values)
 
 
 def _spectrum_member(args):
     res = renorm.spectrum_membership(_tower(args), args.value, args.tol)
     out = {"value": args.value, "member": res.member, "witness": res.witness}
-    return out, {"match": args.tol}, None
+    return out, {"match": args.tol, "level_floor": MATCH_TOL, **_TOWER_SLACK}, None
 
 
 def _block_entropy(args):
     tower = _tower(args)
     model = renorm.BlockModel(R=args.R, powers=tuple(_ints(args.powers)), level=args.level)
     value = renorm.block_model_entropy(tower, model)
-    return {"value": value, "orbits": model.orbit_partition()}, {}, None
+    return {"value": value, "orbits": model.orbit_partition()}, _TOWER_SLACK, None
 
 
 _TOWER = (("--periods", str), ("--entropies", str))
@@ -194,7 +197,7 @@ COMMANDS = {
         ("--eps", str, ",".join(map(str, bowen.DEFAULT_EPS_LIST))), ("--seeds", int, 4096),
         ("--branch-cap", int, 4))),
     "slope-of-quadratic": (_slope_of_quadratic, (
-        ("--a", float), ("--tol", float, 0.05), ("--n-max", int, 24))),
+        ("--a", float), ("--n-max", int, 24))),
     "folding-pattern": (_folding_pattern, (("--slope", float), ("--count", int))),
     "salient": (_salient, (("--slope", float), ("--n", int))),
     "chain-build": (_chain_build, (("--slope", float), ("--p", int), ("--eps", float))),
@@ -205,9 +208,10 @@ COMMANDS = {
         ("--slope", float), ("--R", int), ("--n-max", int, 10), ("--eps", str, "0.015625"),
         ("--depth", int, 12), ("--seeds", int, 1024), ("--branch-cap", int, 4))),
     "renorm-detect": (_renorm_detect, (
-        ("--a", float), ("--max-period", int, 16), ("--tol", float, 1e-9))),
+        ("--a", float), ("--max-period", int, 16))),
     "spectrum": (_spectrum, (*_TOWER, ("--h-max", float))),
-    "spectrum-member": (_spectrum_member, (*_TOWER, ("--value", float), ("--tol", float, 1e-9))),
+    "spectrum-member": (_spectrum_member, (
+        *_TOWER, ("--value", float), ("--tol", float, MATCH_TOL))),
     "block-entropy": (_block_entropy, (
         *_TOWER, ("--R", int), ("--powers", str), ("--level", int, 0))),
 }

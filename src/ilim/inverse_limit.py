@@ -30,9 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DepthError, DomainError
-from .maps import TentMap, backward_tree, orbit_snaps
-
-_TOL = 1e-9
+from .maps import MATCH_TOL, TentMap, backward_tree, critical_cycle
 
 
 @dataclass(frozen=True)
@@ -69,17 +67,12 @@ class BackwardPoint:
         return cls(slope, tuple(coords))
 
 
-def validate(pt: BackwardPoint, tol: float = _TOL) -> bool:
-    """Check the backward-orbit constraints and the coordinate range [0, top]."""
-    tent = TentMap(pt.slope)
-    top = tent.top
-    for x in pt.coords:
-        if not -tol <= x <= top + tol:
-            return False
-    for older, newer in zip(pt.coords, pt.coords[1:]):
-        if abs(tent(older) - newer) > tol:
-            return False
-    return True
+def validate(pt: BackwardPoint) -> bool:
+    """Check the backward-orbit constraints and the range [0, top], to MATCH_TOL."""
+    tent, c = TentMap(pt.slope), pt.coords
+    return all(-MATCH_TOL <= x <= tent.top + MATCH_TOL for x in c) and all(
+        abs(tent(older) - newer) <= MATCH_TOL for older, newer in zip(c, c[1:])
+    )
 
 
 def truncate(pt: BackwardPoint, depth: int) -> BackwardPoint:
@@ -128,8 +121,8 @@ def projection(x: BackwardPoint, k: int) -> float:
     return x.coords[x.depth - k]
 
 
-def p_level(x: BackwardPoint, p: int, tol: float = _TOL):
-    """Smallest l >= 0 such that the coordinate p+l steps back is critical.
+def p_level(x: BackwardPoint, p: int):
+    """Smallest l >= 0 such that the coordinate p+l steps back is critical, to MATCH_TOL.
 
     Returns math.inf for the all-zeros point, None when no recorded
     coordinate matches.  Points whose history hits the critical point are
@@ -137,11 +130,11 @@ def p_level(x: BackwardPoint, p: int, tol: float = _TOL):
     """
     if p > x.depth:
         raise DepthError(f"reference depth {p} exceeds point depth {x.depth}")
-    if all(abs(c) <= tol for c in x.coords):
+    if all(abs(c) <= MATCH_TOL for c in x.coords):
         return math.inf
     crit = TentMap(x.slope).critical
     for l in range(x.depth - p + 1):
-        if abs(projection(x, p + l) - crit) <= tol:
+        if abs(projection(x, p + l) - crit) <= MATCH_TOL:
             return l
     return None
 
@@ -248,9 +241,10 @@ def salient_positions(s: float, n: int) -> list[float]:
     if n < 1:
         raise DomainError("arc index must be at least 1")
     tent = TentMap(s)
+    cycle = critical_cycle(tent, n + 1)
     out = [tent.critical]
     left = True
-    for node in orbit_snaps(tent, n)[1:n]:
-        left = left and node is not None and node < tent.critical
-        out.append(node if left else out[-1] / s)
+    for j in range(1, n):
+        left = left and j < len(cycle) and cycle[-1 - j] < tent.critical
+        out.append(cycle[-1 - j] if left else out[-1] / s)
     return out[::-1]

@@ -88,6 +88,8 @@ def entropy_lap(map_: UnimodalMap, n_max: int, method: str = "ratio") -> Entropy
 
 #: growth below `lap(n) <= _POLY_FACTOR * n**2` is treated as subexponential
 _POLY_FACTOR = 4
+#: zero-entropy cutoff of the two-step lap ratio in ``tent_slope_of_quadratic``
+_ZERO_CUTOFF = 0.05
 
 
 def zero_or_rate(counts: tuple[int, ...], cutoff: float) -> float:
@@ -107,20 +109,16 @@ def zero_or_rate(counts: tuple[int, ...], cutoff: float) -> float:
     return min(max(ratio2, 0.0), math.log(2.0))
 
 
-def tent_slope_of_quadratic(
-    a: float, tol: float = 0.05, n_max: int = 24, with_estimate: bool = False
-):
+def tent_slope_of_quadratic(a: float, n_max: int = 24, with_estimate: bool = False):
     """Slope of the tent map with the same entropy as the quadratic map q_a.
 
     Estimates the entropy of q_a from lap growth (two-step ratio) and returns
-    its exponential, in [1, 2].  Where ``zero_or_rate`` with cutoff ``tol``
-    classifies the map as zero-entropy, the sentinel 1.0 is returned: there
-    is no entropy-matching tent map in that regime.
+    its exponential, in [1, 2].  Where ``zero_or_rate`` with cutoff
+    ``_ZERO_CUTOFF`` classifies the map as zero-entropy, the sentinel 1.0 is
+    returned: there is no entropy-matching tent map in that regime.
     """
-    if not math.isfinite(tol):
-        raise DomainError(f"tol must be finite, got {tol}")
     counts = lap_table(QuadraticMap(a), n_max).counts
-    h = zero_or_rate(counts, tol)
+    h = zero_or_rate(counts, _ZERO_CUTOFF)
     est = _estimate(counts, "ratio2")
     if h == 0.0:
         est = EntropyEstimate(0.0, est.method, est.n_used, est.residual)

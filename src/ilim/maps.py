@@ -23,9 +23,11 @@ import numpy as np
 
 from .errors import DomainError, charge
 
-#: default absolute tolerance for comparisons against the critical point;
-#: orbit_snaps reads the period of the critical point with it.
+#: two floats this close are one point (the period of c is read with it);
+#: TOL and MATCH_TOL are the float decisions that several modules share
 TOL = 1e-12
+#: a computed point this close to the point it stands for matches it
+MATCH_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -155,22 +157,30 @@ def forward_orbit(map_: UnimodalMap, x, steps: int) -> np.ndarray:
 
 
 def critical_orbit(map_: UnimodalMap, n: int) -> list[float]:
-    """Forward orbit of the critical point: the first ``n`` images."""
+    """The first ``n`` images of the critical point under the scalar
+    ``map_(x)``, charged to the node budget before the walk."""
     if n < 1:
         raise DomainError("orbit length must be at least 1")
-    return forward_orbit(map_, map_.critical, n)[0, 1:].tolist()
+    charge(n + 1, 0)
+    x, out = map_.critical, []
+    for _ in range(n):
+        x = map_(x)
+        out.append(x)
+    return out
 
 
-def orbit_snaps(map_: UnimodalMap, depth: int) -> list[float | None]:
-    """For each backward-tree layer j = 0..depth, its critical-orbit node or None.
-
-    The period P of c is read once, within TOL, from its first depth + 1
-    images (P = 0 if none returns).  Then f^(P-j)(c) is a node of layer j for
-    0 < j < P.
-    """
-    orbit = critical_orbit(map_, depth + 1)
-    period = next((k for k, x in enumerate(orbit, 1) if abs(x - map_.critical) <= TOL), 0)
-    return [orbit[period - j - 1] if 0 < j < period else None for j in range(depth + 1)]
+def critical_cycle(map_: UnimodalMap, steps: int) -> list[float]:
+    """The images f(c), ..., f^P(c), P the first k <= steps with f^k(c)
+    within TOL of c, or [] if none; the search holds one point, and is charged
+    before it walks.  For 0 < j < P, ``cycle[-1 - j]`` is a node of layer j of
+    the backward tree."""
+    charge(steps + 1, 0)
+    c = x = map_.critical
+    for period in range(1, steps + 1):
+        x = map_(x)
+        if abs(x - c) <= TOL:
+            return critical_orbit(map_, period)
+    return []
 
 
 def backward_tree(map_: UnimodalMap, depth: int) -> Iterator[np.ndarray]:
@@ -180,13 +190,13 @@ def backward_tree(map_: UnimodalMap, depth: int) -> Iterator[np.ndarray]:
     f^j(x) = critical, in no particular order; two words of inverse branches
     meet only at the top, whose one preimage is c, so none is deduplicated.
     At a periodic c, the node of each layer nearest its orbit point (see
-    ``orbit_snaps``) is snapped to it, so the test against the top is exact.
+    ``critical_cycle``) is snapped to it, so the test against the top is exact.
     Each layer is charged to the node budget before it is built.
     """
     if depth < 0:
         raise DomainError("tree depth must be nonnegative")
     lo, hi = map_.domain[0], map_.top
-    snaps = orbit_snaps(map_, depth)
+    cycle = critical_cycle(map_, depth + 1)
     x = np.array([map_.critical])
     used = charge(1, 0)
     yield x
@@ -196,9 +206,8 @@ def backward_tree(map_: UnimodalMap, depth: int) -> Iterator[np.ndarray]:
             x = x[below]
         used = charge(2 * x.size, used)
         x = map_.branches(x)
-        node = snaps[j]
-        if node is not None:
-            x[np.argmin(np.abs(x - node))] = node
+        if j < len(cycle):
+            x[np.argmin(np.abs(x - cycle[-1 - j]))] = cycle[-1 - j]
         inside = (x >= lo) & (x <= hi)
         x = x if inside.all() else x[inside]
         yield x
@@ -211,7 +220,7 @@ def lap_pieces(map_: UnimodalMap, lo: float, hi: float, steps: int) -> Iterator[
     share it, so lap(f^k) is the sum of the counts.  A step cuts each image at
     c when c lies strictly inside it; f is monotone on each half, which maps to
     the hull of its end images under the scalar ``map_(x)`` (J. Milnor and W.
-    Thurston, LNM 1342, 1988).  At a periodic c (see ``orbit_snaps``) the
+    Thurston, LNM 1342, 1988).  At a periodic c (see ``critical_cycle``) the
     orbit point before c maps to c exactly, so images ending there are not cut
     again by rounding.  Each step is charged before it is built: its images
     and the 64-bit words of their counts.
@@ -219,7 +228,8 @@ def lap_pieces(map_: UnimodalMap, lo: float, hi: float, steps: int) -> Iterator[
     if steps < 0:
         raise DomainError("iterate count must be nonnegative")
     c = map_.critical
-    before_c = orbit_snaps(map_, max(steps, 1))[1]
+    cycle = critical_cycle(map_, max(steps, 1) + 1)
+    before_c = cycle[-2] if len(cycle) > 1 else None
     pieces = {(lo, hi): 1}
     used = 0
     for _ in range(steps):

@@ -28,12 +28,21 @@ import numpy as np
 
 from .errors import DomainError, TowerError, charge
 from .lap_entropy import lap_table, zero_or_rate
-from .maps import QuadraticMap, forward_orbit, itinerary, lap_pieces
+from .maps import MATCH_TOL, TOL, QuadraticMap, forward_orbit, itinerary, lap_pieces
 
 #: zero-entropy cutoff of the two-step lap ratio (see ``zero_or_rate``)
 _ZERO_RATIO = 0.08
-#: spectrum values closer than this are one value
-_SPECTRUM_SPACING = 1e-12
+#: a fixed point of f^p this close to the critical point bounds no interval
+_FIXED_POINT_FLOOR = 1e-7
+#: how far a tower's estimated entropies may fall below their bounds
+_TOWER_SLACK = 5e-3
+#: every float decision of ``detect_renormalization``, by what it decides
+DETECT_TOLERANCES = {
+    "critical_period": TOL, "fixed_point_root": TOL, "fixed_point_scan_margin": TOL,
+    "fixed_point_merge": MATCH_TOL, "kneading_critical": MATCH_TOL, "containment": MATCH_TOL,
+    "disjointness": MATCH_TOL, "fixed_point_floor": _FIXED_POINT_FLOOR,
+    "zero_entropy_ratio": _ZERO_RATIO, "tower_slack": _TOWER_SLACK,
+}
 
 
 @dataclass(frozen=True)
@@ -47,9 +56,7 @@ class RenormTower:
     def __post_init__(self) -> None:
         self.validate()
 
-    def validate(self, tol: float = 5e-3) -> None:
-        if not 0.0 <= tol < math.inf:
-            raise TowerError(f"tol must be nonnegative and finite, got {tol}")
+    def validate(self) -> None:
         p, h = self.periods, self.entropies
         if not p or p[0] != 1:
             raise TowerError("tower must start with period 1")
@@ -61,10 +68,10 @@ class RenormTower:
         for hi in h:
             if not math.isfinite(hi):
                 raise TowerError(f"entropy {hi} must be finite")
-            if hi < -tol:
+            if hi < -_TOWER_SLACK:
                 raise TowerError(f"entropy {hi} is negative")
         for pa, ha, pb, hb in zip(p, h, p[1:], h[1:]):
-            if ha < (pa / pb) * hb - tol:
+            if ha < (pa / pb) * hb - _TOWER_SLACK:
                 raise TowerError(
                     f"entropy {ha} at period {pa} cannot fall below "
                     f"{pa}/{pb} of the next level's {hb}"
@@ -82,7 +89,7 @@ def _fixed_points(quad: QuadraticMap, p: int, bound: float, grid: int = 4001) ->
     """Fixed points of the p-th iterate in [-bound, bound], by scan + bisection."""
     xs = np.linspace(-bound, bound, grid)
     g = forward_orbit(quad, xs, p)[:, -1] - xs
-    roots = [float(xs[i]) for i in np.flatnonzero(np.abs(g) <= 1e-12)]
+    roots = [float(xs[i]) for i in np.flatnonzero(np.abs(g) <= TOL)]
     sign_change = np.flatnonzero(g[:-1] * g[1:] < 0)
     if sign_change.size:
         lo = xs[sign_change].copy()
@@ -98,7 +105,7 @@ def _fixed_points(quad: QuadraticMap, p: int, bound: float, grid: int = 4001) ->
         roots.extend(float(r) for r in 0.5 * (lo + hi))
     dedup: list[float] = []
     for r in sorted(roots):
-        if not dedup or abs(r - dedup[-1]) > 1e-9:
+        if not dedup or abs(r - dedup[-1]) > MATCH_TOL:
             dedup.append(r)
     return dedup
 
@@ -119,31 +126,29 @@ def _images(quad: QuadraticMap, w: float, p: int) -> tuple[np.ndarray, np.ndarra
 
 
 def _restrictive_bound(
-    quad: QuadraticMap, p: int, z_cur: float, tol: float
+    quad: QuadraticMap, p: int, z_cur: float
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Images f^m([-z, z]), m = 0..p, of the smallest period-p restrictive
     interval inside [-z_cur, z_cur] (see ``_images``), or None."""
-    candidates = [w for w in _fixed_points(quad, p, z_cur + 1e-12) if abs(w) > 1e-7]
+    candidates = [w for w in _fixed_points(quad, p, z_cur + TOL) if abs(w) > _FIXED_POINT_FLOOR]
     for w in sorted(candidates, key=abs):
         lo, hi, orbit = _images(quad, w, p)
         if np.prod(-2.0 * quad.parameter * orbit[:p]) <= 0:
             continue
         z = hi[0]
-        if lo[p] < -z - tol or hi[p] > z + tol:
+        if lo[p] < -z - MATCH_TOL or hi[p] > z + MATCH_TOL:
             continue
         overlap = np.minimum.outer(hi[:p], hi[:p]) - np.maximum.outer(lo[:p], lo[:p])
-        if not (np.triu(overlap, 1) > 1e-9).any():
+        if not (np.triu(overlap, 1) > MATCH_TOL).any():
             return lo, hi
     return None
 
 
-def _kneading_periodic(a: float, p: int, horizon: int) -> bool:
-    """Necessary symbolic condition: the critical itinerary repeats with
-    period p away from the multiples of p (critical hits are wildcards)."""
-    q = QuadraticMap(a)
-    first = q(q.critical)
-    syms = itinerary(q, first, horizon, tol=1e-9)  # syms[k-1] codes iterate k
-    for k in range(1, horizon + 1):
+def _kneading_periodic(syms: str, p: int) -> bool:
+    """Necessary symbolic condition: the critical itinerary ``syms`` (whose
+    symbol k - 1 codes iterate k) repeats with period p away from the
+    multiples of p, over its first 6p symbols (critical hits are wildcards)."""
+    for k in range(1, min(6 * p, len(syms)) + 1):
         if k % p == 0:
             continue
         s1, s2 = syms[k - 1], syms[(k % p) - 1]
@@ -154,16 +159,15 @@ def _kneading_periodic(a: float, p: int, horizon: int) -> bool:
     return True
 
 
-def _return_map_laps(quad: QuadraticMap, p: int, lo: np.ndarray, hi: np.ndarray) -> tuple:
-    """Lap numbers of the p-th-iterate return map on [-z, z], z = hi[0], for
-    its iterates j = 1..n_ret: those of f^(p*j), read off ``maps.lap_pieces``."""
+def _return_map_laps(quad: QuadraticMap, p: int, z: float) -> tuple:
+    """Lap numbers of the p-th-iterate return map on [-z, z] for its iterates
+    j = 1..n_ret: those of f^(p*j), read off ``maps.lap_pieces``."""
     n_ret = max(5, min(12, 22 // p + 1))
-    z = float(hi[0])
     walk = enumerate(lap_pieces(quad, -z, z, p * n_ret), 1)
     return tuple(sum(pieces.values()) for k, pieces in walk if k % p == 0)
 
 
-def detect_renormalization(a: float, max_period: int = 16, tol: float = 1e-9) -> RenormTower:
+def detect_renormalization(a: float, max_period: int = 16) -> RenormTower:
     """Renormalization tower of the quadratic map with parameter ``a``.
 
     Candidate periods are multiples of the last accepted period, tried in
@@ -171,34 +175,31 @@ def detect_renormalization(a: float, max_period: int = 16, tol: float = 1e-9) ->
     interval only when its kneading test passes; one that passes the kneading
     test but has no such interval is noted.  Each accepted level shrinks the
     search interval to the new restrictive interval.  Every level's entropy
-    comes from lap growth, classified by ``zero_or_rate``.
-
-    ``tol`` is the containment slack: a candidate interval [-z, z] is kept
-    when the range of f^p over it stays within [-z - tol, z + tol].  The
-    bisection that finds z runs a fixed 80 steps and does not read it.
+    comes from lap growth, classified by ``zero_or_rate``.  Every float
+    decision is listed in ``DETECT_TOLERANCES``; the bisection that finds z
+    runs a fixed 80 steps.
     """
     if max_period > 64:
         raise DomainError("max_period capped at 64")
-    if not 0.0 <= tol < math.inf:
-        raise DomainError(f"tol must be nonnegative and finite, got {tol}")
     quad = QuadraticMap(a)
+    syms = itinerary(quad, quad(quad.critical), 48, tol=MATCH_TOL)
     periods = [1]
     entropies = [zero_or_rate(lap_table(quad, 20).counts, _ZERO_RATIO)]
     notes: list[str] = []
     z_cur = quad.fixed_point_positive()
     while True:
         for p in range(2 * periods[-1], max_period + 1, periods[-1]):
-            if not _kneading_periodic(a, p, horizon=min(6 * p, 48)):
+            if not _kneading_periodic(syms, p):
                 continue
-            images = _restrictive_bound(quad, p, z_cur, tol)
+            images = _restrictive_bound(quad, p, z_cur)
             if images is not None:
                 break
             notes.append(f"period {p}: symbolic periodicity without a restrictive interval")
         else:
             break
         periods.append(p)
-        entropies.append(zero_or_rate(_return_map_laps(quad, p, *images), _ZERO_RATIO))
         z_cur = float(images[1][0])
+        entropies.append(zero_or_rate(_return_map_laps(quad, p, z_cur), _ZERO_RATIO))
     return RenormTower(tuple(periods), tuple(entropies), tuple(notes))
 
 
@@ -231,18 +232,18 @@ def entropy_spectrum(tower: RenormTower, h_max: float) -> list[float]:
     values = [0.0]
     used = 0
     for _, _, unit, floor in _level_pairs(tower):
-        n = max(1, math.ceil(floor - 1e-9))
-        # at most (h_max + 1e-12) / unit - n + 1 values; a unit that underflowed is endless
-        used = charge(max((h_max + 1e-12) / unit - n + 1, 0.0) if unit > 0 else math.inf, used)
+        n = max(1, math.ceil(floor - MATCH_TOL))
+        # at most (h_max + TOL) / unit - n + 1 values; a unit that underflowed is endless
+        used = charge(max((h_max + TOL) / unit - n + 1, 0.0) if unit > 0 else math.inf, used)
         v = n * unit
-        while v <= h_max + 1e-12:
+        while v <= h_max + TOL:
             values.append(v)
             n += 1
             v = n * unit
     values.sort()
     out = [values[0]]
     for v in values[1:]:
-        if v - out[-1] > _SPECTRUM_SPACING:
+        if v - out[-1] > TOL:
             out.append(v)
     return out
 
@@ -301,7 +302,9 @@ class MembershipResult:
     witness: tuple[int, int, int] | None = None
 
 
-def spectrum_membership(tower: RenormTower, value: float, tol: float = 1e-9) -> MembershipResult:
+def spectrum_membership(
+    tower: RenormTower, value: float, tol: float = MATCH_TOL
+) -> MembershipResult:
     """Decide whether ``value`` is an admissible entropy, with a witness.
 
     Zero is always admissible.  Otherwise a witness (j, i, N) certifies
@@ -320,7 +323,7 @@ def spectrum_membership(tower: RenormTower, value: float, tol: float = 1e-9) -> 
         if not math.isfinite(ratio):
             raise DomainError(f"value {value} is out of float range against the unit {unit}")
         for n in {math.floor(ratio), math.ceil(ratio)}:
-            if n < 1 or n + 1e-9 < floor:
+            if n < 1 or n + MATCH_TOL < floor:
                 continue
             if abs(value - n * unit) <= tol:
                 return MembershipResult(True, (j, i, int(n)))

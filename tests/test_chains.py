@@ -25,7 +25,7 @@ from ilim.inverse_limit import (
     salient_positions,
     shift,
 )
-from ilim.maps import TentMap
+from ilim.maps import MATCH_TOL, TentMap
 
 SLOPES = [1.6, 1.8, 2.0]
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0  # the critical point has period 3
@@ -237,7 +237,7 @@ def test_alignment_identity_case():
     assert rep.all_pass
 
 
-def _alignment_by_points(s, q, p, R, n, tol=1e-9):
+def _alignment_by_points(s, q, p, R, n):
     """The alignment check read record by record through the point API."""
     M = R + q - p
     reference = build_chain(s, p, eps=0.05)
@@ -249,7 +249,7 @@ def _alignment_by_points(s, q, p, R, n, tol=1e-9):
         for _ in range(R):
             image = shift(image)
         target = rec.level + M
-        level = p_level(image, p, tol)
+        level = p_level(image, p)
         if level != target:
             failures.append(
                 f"position {rec.position:.12g}: level {level} after {R} shifts, "
@@ -261,7 +261,8 @@ def _alignment_by_points(s, q, p, R, n, tol=1e-9):
             continue
         salient = BackwardPoint.from_deepest(s, salients[target - 1], p + n + M)
         value, ref = projection(image, p), projection(salient, p)
-        if abs(value - ref) <= tol or link_of(reference, salient) == link_of(reference, image):
+        same_link = link_of(reference, salient) == link_of(reference, image)
+        if abs(value - ref) <= MATCH_TOL or same_link:
             passed += 1
         else:
             failures.append(

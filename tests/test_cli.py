@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ilim import cli
+from ilim import bowen, cli, lap_entropy, maps, renorm
 
 
 def run(capsys, *argv):
@@ -84,7 +84,7 @@ REQUIRED_ONLY = {
     "entropy-bowen": (("--slope", "2", "--R", "1"), {
         "slope": 2.0, "R": 1, "depth": 12, "n_max": 10,
         "eps": "0.0625,0.03125,0.015625,0.0078125", "seeds": 4096, "branch_cap": 4}),
-    "slope-of-quadratic": (("--a", "1.9"), {"a": 1.9, "tol": 0.05, "n_max": 24}),
+    "slope-of-quadratic": (("--a", "1.9"), {"a": 1.9, "n_max": 24}),
     "folding-pattern": (("--slope", "1.8", "--count", "7"), {"slope": 1.8, "count": 7}),
     "salient": (("--slope", "2", "--n", "4"), {"slope": 2.0, "n": 4}),
     "chain-build": (("--slope", "1.8", "--p", "2", "--eps", "0.2"),
@@ -96,7 +96,7 @@ REQUIRED_ONLY = {
     "separated": (("--slope", "1.9", "--R", "1"), {
         "slope": 1.9, "R": 1, "n_max": 10, "eps": "0.015625", "depth": 12, "seeds": 1024,
         "branch_cap": 4}),
-    "renorm-detect": (("--a", "1.3"), {"a": 1.3, "max_period": 16, "tol": 1e-9}),
+    "renorm-detect": (("--a", "1.3"), {"a": 1.3, "max_period": 16}),
     "spectrum": (("--periods", "1,2", "--entropies", "0.5,0.8", "--h-max", "1.3"),
                  {"periods": "1,2", "entropies": "0.5,0.8", "h_max": 1.3}),
     "spectrum-member": (("--periods", "1,2", "--entropies", "0.5,0.8", "--value", "1.2"),
@@ -180,7 +180,8 @@ def test_block_entropy_reports_orbits(capsys):
 
 def test_renorm_detect_small_horizon(capsys):
     report = run_json(capsys, "renorm-detect", "--a", "1.3", "--max-period", "2")
-    assert report["tolerances"] == {"containment": 1e-9}
+    assert report["tolerances"]["containment"] == 1e-9
+    assert report["tolerances"] == renorm.DETECT_TOLERANCES
     assert report["outputs"]["periods"] == [1, 2]
     assert all(abs(h) < 0.02 for h in report["outputs"]["entropies"])
 
@@ -293,8 +294,6 @@ def test_domain_violation_exits_two(capsys):
         ("spectrum", "--periods", "1,2", "--entropies", "0.5,nan", "--h-max", "1.3"),
         ("spectrum-member", "--periods", "1,2", "--entropies", "0.5,0.8", "--value", "0.5",
          "--tol", "nan"),
-        ("renorm-detect", "--a", "1.3", "--max-period", "2", "--tol", "nan"),
-        ("slope-of-quadratic", "--a", "1.5", "--n-max", "8", "--tol", "nan"),
     ],
 )
 def test_non_finite_input_exits_two(capsys, argv):
@@ -302,6 +301,33 @@ def test_non_finite_input_exits_two(capsys, argv):
     assert code == 2
     assert out == ""
     assert "finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("renorm-detect", "--a", "1.3", "--max-period", "2", "--tol", "1e-9"),
+        ("slope-of-quadratic", "--a", "1.5", "--n-max", "8", "--tol", "0.05"),
+    ],
+)
+def test_removed_tolerance_flags_exit_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "--tol" in err
+
+
+def test_reported_tolerances_are_named_constants(capsys):
+    # a module-level float constant of the package is a named tolerance
+    named = {
+        value
+        for module in (maps, bowen, lap_entropy, renorm)
+        for name, value in vars(module).items()
+        if name.lstrip("_").isupper() and isinstance(value, float)
+    }
+    for argv in SMALL_ARGVS:
+        tolerances = run_json(capsys, *argv)["tolerances"]
+        assert set(tolerances.values()) <= named, (argv, tolerances)
 
 
 def test_resource_cap_exits_three(capsys, monkeypatch):

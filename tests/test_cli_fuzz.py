@@ -38,7 +38,7 @@ COMMANDS = {
                     "--method": "method?"},
     "entropy-bowen": {"--slope": "float", "--R": "int", "--depth": "int?", "--n-max": "int?",
                       "--eps": "floats?", "--seeds": "int?", "--branch-cap": "int?"},
-    "slope-of-quadratic": {"--a": "float", "--tol": "float?", "--n-max": "int?"},
+    "slope-of-quadratic": {"--a": "float", "--n-max": "int?"},
     "folding-pattern": {"--slope": "float", "--count": "int"},
     "salient": {"--slope": "float", "--n": "int"},
     "chain-build": {"--slope": "float", "--p": "int", "--eps": "float"},
@@ -46,7 +46,7 @@ COMMANDS = {
     "plevel-align": {"--slope": "float", "--q": "int", "--p": "int", "--R": "int", "--n": "int"},
     "separated": {"--slope": "float", "--R": "int", "--n-max": "int?", "--eps": "floats?",
                   "--depth": "int?", "--seeds": "int?", "--branch-cap": "int?"},
-    "renorm-detect": {"--a": "float", "--max-period": "int?", "--tol": "float?"},
+    "renorm-detect": {"--a": "float", "--max-period": "int?"},
     "spectrum": {"--periods": "ints", "--entropies": "floats", "--h-max": "float"},
     "spectrum-member": {"--periods": "ints", "--entropies": "floats", "--value": "float",
                         "--tol": "float?"},

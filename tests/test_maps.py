@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,12 +12,15 @@ from ilim.maps import (
     TentMap,
     backward_tree,
     core_interval,
+    TOL,
+    critical_cycle,
     critical_orbit,
     forward_orbit,
     itinerary,
     lap_pieces,
 )
 
+GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0  # the critical point has period 3
 slopes = st.floats(min_value=1.0, max_value=2.0, exclude_min=True, allow_nan=False)
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -221,6 +225,37 @@ def test_pieces_that_end_at_a_periodic_critical_point_are_not_cut():
     t = TentMap((1.0 + math.sqrt(5.0)) / 2.0)
     *_, last = lap_pieces(t, 0.0, 1.0, 30)
     assert sorted(last) == [(0.0, t.top), (t(t.top), t.top), (t.critical, t.top)]
+
+
+@pytest.mark.parametrize(
+    "map_",
+    [TentMap(1.8), TentMap(GOLDEN), TentMap(2.0), QuadraticMap(1.9), QuadraticMap(1.401155)],
+)
+def test_critical_orbit_walk_equals_the_orbit_row(map_):
+    row = forward_orbit(map_, map_.critical, 2000)[0, 1:].tolist()
+    assert [v.hex() for v in critical_orbit(map_, 2000)] == [v.hex() for v in row]
+
+
+def test_critical_cycle_stops_at_the_first_return():
+    golden = TentMap(GOLDEN)
+    cycle = critical_cycle(golden, 50)
+    assert cycle == critical_orbit(golden, 3)
+    assert abs(cycle[-1] - golden.critical) <= TOL
+    assert critical_cycle(golden, 2) == []
+    assert critical_cycle(TentMap(1.8), 1000) == []
+
+
+def test_first_piece_step_holds_no_critical_orbit():
+    # the period of c is searched one point at a time: a 10**5-step search
+    # that finds no return allocates nothing for the orbit
+    walk = lap_pieces(TentMap(1.8), 0.0, 1.0, 10**5)
+    tracemalloc.start()
+    try:
+        next(walk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_lap_pieces_are_charged_to_the_node_budget(monkeypatch):

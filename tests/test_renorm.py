@@ -76,13 +76,6 @@ def test_tower_pairs_periods_with_entropies():
         RenormTower((1, 2), (0.5,)).validate()
 
 
-@pytest.mark.parametrize("tol", [math.nan, -1e-3])
-def test_tower_validation_rejects_a_bad_tolerance(tol):
-    # a NaN slack makes every comparison false, so a collapse would pass
-    with pytest.raises(TowerError, match="tol"):
-        EXAMPLE_TOWER.validate(tol)
-
-
 # ---------------------------------------------------------------------------
 # detection
 
@@ -134,12 +127,6 @@ def test_detection_rejects_huge_horizons_and_bad_parameters():
         detect_renormalization(2.5)
 
 
-def test_detection_rejects_a_negative_containment_slack():
-    # a slack of -1 would refuse every interval and hide the period-2 level
-    with pytest.raises(DomainError, match="tol"):
-        detect_renormalization(1.3, max_period=2, tol=-1.0)
-
-
 def test_detected_towers_validate():
     for a in (2.0, 1.3, A_STAR):
         detect_renormalization(a, max_period=4).validate()
@@ -151,7 +138,7 @@ def _tower_images(a, max_period):
     z = quad.fixed_point_positive()
     out = []
     for p in detect_renormalization(a, max_period).periods[1:]:
-        lo, hi = _restrictive_bound(quad, p, z, 1e-9)
+        lo, hi = _restrictive_bound(quad, p, z)
         out.append((p, lo, hi))
         z = float(hi[0])
     return out
@@ -208,7 +195,7 @@ def test_windowed_return_map_laps_equal_the_full_tree(a, max_period, periods):
     levels = _tower_images(a, max_period)
     assert tuple(p for p, _, _ in levels) == periods
     for p, lo, hi in levels:
-        laps = _return_map_laps(quad, p, lo, hi)
+        laps = _return_map_laps(quad, p, float(hi[0]))
         assert laps == _full_tree_laps(quad, p, float(hi[0]), len(laps))
 
 
