@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from ilim.errors import DomainError, ResourceCapError
 from ilim.maps import (
+    TOL,
     QuadraticMap,
     TentMap,
     backward_tree,
     core_interval,
-    TOL,
     critical_cycle,
     critical_orbit,
     forward_orbit,
