@@ -27,8 +27,8 @@ from .maps import MATCH_TOL, TOL, QuadraticMap, TentMap
 
 SCHEMA = "ilim/1"
 
-_CRITICAL = {"critical_period": TOL}  # backward trees, lap pieces, salient points
-_TOWER_SLACK = {"tower_slack": renorm._TOWER_SLACK}  # every command that checks a tower
+_CYCLE_TOL = {"critical_period": TOL}  # backward trees, lap pieces, salient points
+_TOWER_TOL = {"tower_slack": renorm._TOWER_SLACK}  # every command that checks a tower
 
 
 class _ArgError(Exception):
@@ -90,7 +90,7 @@ def _entropy_lap(args):
         raise _ArgError("give exactly one of --slope (tent) or --a (quadratic)")
     map_ = QuadraticMap(args.a) if args.a is not None else TentMap(args.slope)
     est = lap_entropy.entropy_lap(map_, args.n_max, args.method)
-    return asdict(est), _CRITICAL, None
+    return asdict(est), _CYCLE_TOL, None
 
 
 def _separation(args):
@@ -113,19 +113,19 @@ def _entropy_bowen(args):
 def _slope_of_quadratic(args):
     s, est = lap_entropy.tent_slope_of_quadratic(args.a, n_max=args.n_max, with_estimate=True)
     out = {"slope": s, "entropy": est.value, "residual": est.residual}
-    return out, {"zero_entropy_cutoff": lap_entropy._ZERO_CUTOFF, **_CRITICAL}, None
+    return out, {"zero_entropy_cutoff": lap_entropy._ZERO_CUTOFF, **_CYCLE_TOL}, None
 
 
 def _folding_pattern(args):
     pattern = inverse_limit.folding_pattern_prefix(args.slope, args.count).as_strings()
-    return {"pattern": pattern}, _CRITICAL, _column("entry", pattern)
+    return {"pattern": pattern}, _CYCLE_TOL, _column("entry", pattern)
 
 
 def _salient(args):
     pos = inverse_limit.salient_positions(args.slope, args.n)
     levels = list(range(1, args.n + 1))
     rows = (("position", "level"), list(zip(pos, levels)))
-    return {"positions": pos, "levels": levels}, _CRITICAL, rows
+    return {"positions": pos, "levels": levels}, _CYCLE_TOL, rows
 
 
 def _chain_build(args):
@@ -145,12 +145,12 @@ def _chain_verify(args):
         "limit_mesh": chains.limit_mesh(coarse),
         "links": coarse.n_links,
     }
-    return out, {"closure": TOL, "mandatory": MATCH_TOL, "edge": TOL, **_CRITICAL}, None
+    return out, {"closure": TOL, "mandatory": MATCH_TOL, "edge": TOL, **_CYCLE_TOL}, None
 
 
 def _plevel_align(args):
     report = chains.verify_plevel_alignment(args.slope, args.q, args.p, args.R, args.n)
-    return report.to_json(), {"match": MATCH_TOL, "edge": TOL, **_CRITICAL}, None
+    return report.to_json(), {"match": MATCH_TOL, "edge": TOL, **_CYCLE_TOL}, None
 
 
 def _separated(args):
@@ -169,21 +169,21 @@ def _spectrum(args):
     values = renorm.entropy_spectrum(tower, args.h_max)
     out = {"periods": tower.periods, "entropies": tower.entropies, "h_max": args.h_max,
            "spectrum": values}
-    tolerances = {"dedup": TOL, "h_max_slack": TOL, "level_floor": MATCH_TOL, **_TOWER_SLACK}
+    tolerances = {"dedup": TOL, "h_max_slack": TOL, "level_floor": MATCH_TOL, **_TOWER_TOL}
     return out, tolerances, _column("value", values)
 
 
 def _spectrum_member(args):
     res = renorm.spectrum_membership(_tower(args), args.value, args.tol)
     out = {"value": args.value, "member": res.member, "witness": res.witness}
-    return out, {"match": args.tol, "level_floor": MATCH_TOL, **_TOWER_SLACK}, None
+    return out, {"match": args.tol, "level_floor": MATCH_TOL, **_TOWER_TOL}, None
 
 
 def _block_entropy(args):
     tower = _tower(args)
     model = renorm.BlockModel(R=args.R, powers=tuple(_ints(args.powers)), level=args.level)
     value = renorm.block_model_entropy(tower, model)
-    return {"value": value, "orbits": model.orbit_partition()}, _TOWER_SLACK, None
+    return {"value": value, "orbits": model.orbit_partition()}, _TOWER_TOL, None
 
 
 _TOWER = (("--periods", str), ("--entropies", str))

@@ -17,9 +17,10 @@ def _unnamed_tolerances(tree: ast.Module):
     for fn in ast.walk(tree):
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             for node in ast.walk(fn):  # its defaults and its body
-                value = getattr(node, "value", None)
-                if isinstance(node, ast.Constant) and isinstance(value, float) and 0 < value <= 1e-6:
-                    yield getattr(fn, "name", "<lambda>"), node.lineno, value
+                if not isinstance(node, ast.Constant) or not isinstance(node.value, float):
+                    continue
+                if 0 < node.value <= 1e-6:
+                    yield getattr(fn, "name", "<lambda>"), node.lineno, node.value
 
 
 def test_no_bare_tolerance_literal_in_a_function():
