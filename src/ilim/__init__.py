@@ -60,9 +60,7 @@ from .inverse_limit import (
 from .lap_entropy import (
     EntropyEstimate,
     LapTable,
-    deep_branch_count,
     entropy_lap,
-    lap_count,
     lap_table,
     tent_slope_of_quadratic,
 )
@@ -70,7 +68,6 @@ from .maps import (
     QuadraticMap,
     TentMap,
     UnimodalMap,
-    core_interval,
     critical_orbit,
     itinerary,
 )
@@ -112,9 +109,7 @@ __all__ = [
     "arc_to_salient",
     "block_model_entropy",
     "build_chain",
-    "core_interval",
     "critical_orbit",
-    "deep_branch_count",
     "detect_renormalization",
     "entropy_bowen",
     "entropy_lap",
@@ -123,7 +118,6 @@ __all__ = [
     "folding_pattern_prefix",
     "itinerary",
     "itinerary_upper_bound",
-    "lap_count",
     "lap_table",
     "limit_diameter",
     "limit_mesh",

@@ -119,23 +119,22 @@ def separated_count(cloud: PointCloud, R: int, n: int, eps: float) -> int:
     W = ext.shape[1]
     weighted = ext * np.power(2.0, np.arange(W) - (W - 1))
     scale = np.power(2.0, (W - 1) - ends.astype(float))
-    kept: list[int] = []
-    kept_w = np.empty((0, W))
-    kept_present = np.empty(0)
-    present_col = cloud.depth  # |gap| here alone decides time k=0 at weight 1
+    present = ext[:, cloud.depth]  # |gap| here alone decides time k=0 at weight 1
+    kept = np.empty(ext.shape[0], dtype=np.intp)  # row indices, in scan order
+    count = 0
     for i in range(ext.shape[0]):
-        if kept:
-            close = np.abs(kept_present - ext[i, present_col]) <= eps
+        if count:
+            rows = kept[:count]
+            close = np.abs(present[rows] - present[i]) <= eps
             if close.any():
-                diff = np.abs(kept_w[close] - weighted[i])
+                diff = np.abs(weighted[rows[close]] - weighted[i])
                 pref = np.cumsum(diff, axis=1)
                 dk = pref[:, ends] * scale
                 if not (dk > eps).any(axis=1).all():
                     continue
-        kept.append(i)
-        kept_w = np.vstack([kept_w, weighted[i][None, :]])
-        kept_present = np.append(kept_present, ext[i, present_col])
-    return len(kept)
+        kept[count] = i
+        count += 1
+    return count
 
 
 @dataclass(frozen=True)

@@ -198,20 +198,6 @@ class AlignmentReport:
     def all_pass(self) -> bool:
         return self.checks > 0 and self.passed == self.checks
 
-    def to_json(self) -> dict:
-        return {
-            "slope": self.slope,
-            "q": self.q,
-            "p": self.p,
-            "R": self.R,
-            "n": self.n,
-            "M": self.M,
-            "checks": self.checks,
-            "passed": self.passed,
-            "failures": list(self.failures),
-            "all_pass": self.all_pass,
-        }
-
 
 def verify_plevel_alignment(s: float, q: int, p: int, R: int, n: int) -> AlignmentReport:
     """Check that R shifts raise fold levels by exactly M = R + q - p.

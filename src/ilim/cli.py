@@ -40,18 +40,12 @@ class _Parser(argparse.ArgumentParser):
         raise _ArgError(message)
 
 
-def _floats(text: str) -> list[float]:
+def _numbers(text: str, kind=float) -> list:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        return [kind(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
-        raise _ArgError(f"expected comma-separated numbers, got {text!r}") from exc
-
-
-def _ints(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise _ArgError(f"expected comma-separated integers, got {text!r}") from exc
+        what = "integers" if kind is int else "numbers"
+        raise _ArgError(f"expected comma-separated {what}, got {text!r}") from exc
 
 
 def _sanitize(obj):
@@ -70,9 +64,7 @@ def _sanitize(obj):
 
 
 def _tower(args) -> renorm.RenormTower:
-    periods = _ints(args.periods)
-    entropies = _floats(args.entropies)
-    return renorm.RenormTower(tuple(periods), tuple(entropies))
+    return renorm.RenormTower(tuple(_numbers(args.periods, int)), tuple(_numbers(args.entropies)))
 
 
 def _column(name: str, values) -> tuple:
@@ -97,7 +89,7 @@ def _separation(args):
     """Shared body of entropy-bowen and separated: the sampled cloud, its
     separation curves, their json and their csv rows."""
     cloud = bowen.sample_points(args.slope, args.depth, args.branch_cap, args.seeds)
-    curves = bowen.separation_curves(cloud, args.R, tuple(_floats(args.eps)), args.n_max)
+    curves = bowen.separation_curves(cloud, args.R, tuple(_numbers(args.eps)), args.n_max)
     as_json = [{"eps": c.eps, "estimate": c.estimate, "counts": c.counts} for c in curves]
     rows = [(c.eps, n, count, math.log(count)) for c in curves for n, count in c.counts]
     return cloud, curves, as_json, (("eps", "n", "count", "log_count"), rows)
@@ -150,7 +142,8 @@ def _chain_verify(args):
 
 def _plevel_align(args):
     report = chains.verify_plevel_alignment(args.slope, args.q, args.p, args.R, args.n)
-    return report.to_json(), {"match": MATCH_TOL, "edge": TOL, **_CYCLE_TOL}, None
+    out = {**asdict(report), "all_pass": report.all_pass}
+    return out, {"match": MATCH_TOL, "edge": TOL, **_CYCLE_TOL}, None
 
 
 def _separated(args):
@@ -181,7 +174,7 @@ def _spectrum_member(args):
 
 def _block_entropy(args):
     tower = _tower(args)
-    model = renorm.BlockModel(R=args.R, powers=tuple(_ints(args.powers)), level=args.level)
+    model = renorm.BlockModel(R=args.R, powers=tuple(_numbers(args.powers, int)), level=args.level)
     value = renorm.block_model_entropy(tower, model)
     return {"value": value, "orbits": model.orbit_partition()}, _TOWER_TOL, None
 

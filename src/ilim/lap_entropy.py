@@ -11,7 +11,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .maps import TOL, QuadraticMap, TentMap, UnimodalMap, lap_pieces
+# bench/workloads.py reads lap_entropy.TentMap: keep the import
+from .maps import QuadraticMap, TentMap, UnimodalMap, lap_pieces  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -35,11 +36,6 @@ def lap_table(map_: UnimodalMap, n_max: int) -> LapTable:
     if n_max < 1:
         raise DomainError("n_max must be at least 1")
     return LapTable(map_, tuple(sum(p.values()) for p in lap_pieces(map_, *map_.domain, n_max)))
-
-
-def lap_count(map_: UnimodalMap, n: int) -> int:
-    """lap(f^n): number of maximal monotonicity intervals of the n-th iterate."""
-    return lap_table(map_, n).counts[-1]
 
 
 @dataclass(frozen=True)
@@ -125,13 +121,3 @@ def tent_slope_of_quadratic(a: float, n_max: int = 24, with_estimate: bool = Fal
     s = math.exp(h)
     return (s, est) if with_estimate else s
 
-
-def deep_branch_count(map_: TentMap, k: int, delta: float) -> int:
-    """Branches of T^k on [0, top] whose image interval has length >= 2*delta;
-    the branches are the monotone pieces that ``maps.lap_pieces`` follows."""
-    if not delta >= 0:
-        raise DomainError(f"delta must be nonnegative, got {delta}")
-    pieces = {(0.0, map_.top): 1}
-    for pieces in lap_pieces(map_, 0.0, map_.top, k):
-        pass
-    return sum(n for (lo, hi), n in pieces.items() if hi - lo >= 2.0 * delta - TOL)

@@ -106,11 +106,6 @@ class QuadraticMap:
         a = self.parameter
         return (-1.0 + math.sqrt(1.0 + 4.0 * a)) / (2.0 * a)
 
-    def fixed_point_negative(self) -> float:
-        """The orientation-reversing fixed point left of the critical point."""
-        a = self.parameter
-        return (-1.0 - math.sqrt(1.0 + 4.0 * a)) / (2.0 * a)
-
     def __call__(self, x: float) -> float:
         if not -1.0 - TOL <= x <= 1.0 + TOL:
             raise DomainError(f"quadratic map input {x} outside [-1, 1]")
@@ -157,16 +152,11 @@ def forward_orbit(map_: UnimodalMap, x, steps: int) -> np.ndarray:
 
 
 def critical_orbit(map_: UnimodalMap, n: int) -> list[float]:
-    """The first ``n`` images of the critical point under the scalar
-    ``map_(x)``, charged to the node budget before the walk."""
+    """The first ``n`` images of the critical point: the ``forward_orbit``
+    row of c without c, charged to the node budget before it is built."""
     if n < 1:
         raise DomainError("orbit length must be at least 1")
-    charge(n + 1, 0)
-    x, out = map_.critical, []
-    for _ in range(n):
-        x = map_(x)
-        out.append(x)
-    return out
+    return forward_orbit(map_, map_.critical, n)[0, 1:].tolist()
 
 
 def critical_cycle(map_: UnimodalMap, steps: int) -> list[float]:
@@ -245,17 +235,17 @@ def lap_pieces(map_: UnimodalMap, lo: float, hi: float, steps: int) -> Iterator[
         yield pieces
 
 
-def itinerary(map_: UnimodalMap, x: float, n: int, tol: float = TOL) -> str:
+def itinerary(map_: UnimodalMap, x: float, n: int) -> str:
     """Kneading symbols of ``x, f(x), ..., f^(n-1)(x)`` against the critical point.
 
-    ``L`` strictly left, ``R`` strictly right, ``C`` within ``tol`` of the
-    critical point (the ``C`` test wins over the strict ones).
+    ``L`` strictly left, ``R`` strictly right, ``C`` within ``MATCH_TOL`` of
+    the critical point (the ``C`` test wins over the strict ones).
     """
     if n < 1:
         raise DomainError("itinerary length must be at least 1")
     syms = []
     for _ in range(n):
-        if abs(x - map_.critical) <= tol:
+        if abs(x - map_.critical) <= MATCH_TOL:
             syms.append("C")
         elif x < map_.critical:
             syms.append("L")
@@ -264,7 +254,3 @@ def itinerary(map_: UnimodalMap, x: float, n: int, tol: float = TOL) -> str:
         x = map_(x)
     return "".join(syms)
 
-
-def core_interval(map_: TentMap) -> tuple[float, float]:
-    """The invariant interval [second image, first image] of the critical point."""
-    return (map_.second_image, map_.top)

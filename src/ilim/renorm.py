@@ -85,9 +85,9 @@ class RenormTower:
 # detection
 
 
-def _fixed_points(quad: QuadraticMap, p: int, bound: float, grid: int = 4001) -> list[float]:
+def _fixed_points(quad: QuadraticMap, p: int, bound: float) -> list[float]:
     """Fixed points of the p-th iterate in [-bound, bound], by scan + bisection."""
-    xs = np.linspace(-bound, bound, grid)
+    xs = np.linspace(-bound, bound, 4001)
     g = forward_orbit(quad, xs, p)[:, -1] - xs
     roots = [float(xs[i]) for i in np.flatnonzero(np.abs(g) <= TOL)]
     sign_change = np.flatnonzero(g[:-1] * g[1:] < 0)
@@ -182,7 +182,7 @@ def detect_renormalization(a: float, max_period: int = 16) -> RenormTower:
     if max_period > 64:
         raise DomainError("max_period capped at 64")
     quad = QuadraticMap(a)
-    syms = itinerary(quad, quad(quad.critical), 48, tol=MATCH_TOL)
+    syms = itinerary(quad, quad(quad.critical), 48)
     periods = [1]
     entropies = [zero_or_rate(lap_table(quad, 20).counts, _ZERO_RATIO)]
     notes: list[str] = []

@@ -6,6 +6,7 @@ spans.  A wrapped function that no probe reaches, or a result that a record
 hook cannot read, makes that run fail; this test finds it without the run.
 """
 
+import importlib
 import math
 from pathlib import Path
 
@@ -33,3 +34,16 @@ def test_probe_reaches_every_traced_layer(monkeypatch):
     metrics = spans.layer_metrics(tracer, 1)
     assert len(metrics) == 33
     assert all(math.isfinite(value) for value, _ in metrics.values())
+
+
+def test_every_workload_builds_and_every_traced_name_resolves(monkeypatch):
+    # a workload reads names such as lap_entropy.TentMap when it is built,
+    # and the tracer reads each target by name when it is installed
+    monkeypatch.syspath_prepend(str(BENCH))
+    import spans
+    import workloads
+
+    for name, build in workloads.WORKLOADS.items():
+        assert build(101).ops, name
+    for mod_name, fn_name, _ in spans.TARGETS:
+        assert callable(getattr(importlib.import_module(f"ilim.{mod_name}"), fn_name))

@@ -292,14 +292,6 @@ def test_alignment_rejects_bad_shape():
         verify_plevel_alignment(1.8, 6, 3, -1, 6)
 
 
-def test_alignment_report_json():
-    rep = verify_plevel_alignment(2.0, 4, 2, 1, 4)
-    blob = rep.to_json()
-    assert blob["M"] == rep.M == 3
-    assert blob["all_pass"] is True
-    assert blob["checks"] == rep.checks
-
-
 def test_chain_json_roundtrip():
     ch = build_chain(1.8, 2, 0.3)
     blob = ch.to_json()

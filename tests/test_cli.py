@@ -203,6 +203,20 @@ def test_plevel_align_all_pass(capsys):
     assert report["outputs"]["M"] == 4
 
 
+def test_plevel_align_report_in_every_format(capsys):
+    argv = ("plevel-align", "--slope", "2.0", "--q", "4", "--p", "2", "--R", "1", "--n", "4")
+    out = run_json(capsys, *argv)["outputs"]
+    assert out == {"slope": 2.0, "q": 4, "p": 2, "R": 1, "n": 4, "M": 3, "checks": 16,
+                   "passed": 16, "failures": [], "all_pass": True}
+    code, csv, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert csv == "M,R,all_pass,checks,failures,n,p,passed,q,slope\n3,1,True,16,[],4,2,16,4,2.0\n"
+    code, plain, _ = run(capsys, *argv, "--format", "plain")
+    assert code == 0
+    assert plain.splitlines() == ["slope: 2.0", "q: 4", "p: 2", "R: 1", "n: 4", "M: 3",
+                                  "checks: 16", "passed: 16", "failures: ", "all_pass: True"]
+
+
 def test_separated_csv_table(capsys):
     code, out, _ = run(capsys, "separated", "--slope", "2", "--R", "1", "--n-max", "5",
                        "--depth", "8", "--seeds", "64", "--eps", "0.125", "--format", "csv")
@@ -264,6 +278,20 @@ def test_missing_required_flag_exits_two(capsys):
 def test_malformed_number_exits_two(capsys):
     code, _, _ = run(capsys, "entropy-lap", "--slope", "abc")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("spectrum", "--periods", "1,x", "--entropies", "0.5,0.8", "--h-max", "1"),
+         "error: expected comma-separated integers, got '1,x'\n"),
+        (("spectrum", "--periods", "1,2", "--entropies", "0.5,x", "--h-max", "1"),
+         "error: expected comma-separated numbers, got '0.5,x'\n"),
+    ],
+)
+def test_malformed_list_names_its_kind(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", message)
 
 
 def test_entropy_lap_needs_exactly_one_map(capsys):

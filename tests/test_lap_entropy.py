@@ -8,13 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ilim.errors import DomainError, ResourceCapError
-from ilim.lap_entropy import (
-    deep_branch_count,
-    entropy_lap,
-    lap_count,
-    lap_table,
-    tent_slope_of_quadratic,
-)
+from ilim.lap_entropy import entropy_lap, lap_table, tent_slope_of_quadratic
 from ilim.maps import QuadraticMap, TentMap
 
 A_STAR = 1.5436890126920764  # parameter whose doubled-up map is entropy log 2
@@ -85,50 +79,21 @@ def superstable_laps(a0, period, n, digits=60):
     return tree_laps("quad", a0, n, period, digits)
 
 
-def tent_inverse(t, y):
-    """Scalar solutions of T(x) = y, written apart from TentMap.branches."""
-    lo, hi = y / t.slope, 1.0 - y / t.slope
-    return [] if y > t.top + 1e-12 else [t.critical] if hi - lo <= 1e-12 else [lo, hi]
-
-
-def enumerate_branches(s, k, delta):
-    """Independent oracle: monotone pieces of the k-th tent iterate on [0, top]
-    whose image is at least 2*delta long, by explicit fold-point enumeration."""
-    t = TentMap(s)
-    folds = set()
-    level = [t.critical]
-    for _ in range(k):  # critical points of T^k lie at depths 0..k-1
-        folds.update(level)
-        nxt = []
-        for y in level:
-            nxt.extend(tent_inverse(t, y))
-        level = nxt
-    cuts = sorted({0.0, t.top} | {x for x in folds if 0.0 < x < t.top})
-    count = 0
-    for lo, hi in zip(cuts, cuts[1:]):
-        a, b = lo, hi
-        for _ in range(k):
-            a, b = t(a), t(b)
-        if abs(b - a) >= 2.0 * delta - 1e-12:
-            count += 1
-    return count
-
-
 def test_full_tent_powers_of_two():
     t = TentMap(2.0)
-    assert lap_count(t, 3) == 8
+    assert lap_table(t, 3).counts[-1] == 8
     for n in range(1, 15):
-        assert lap_count(t, n) == 2**n
+        assert lap_table(t, n).counts[-1] == 2**n
 
 
 def test_single_fold():
-    assert lap_count(TentMap(1.7), 1) == 2
-    assert lap_count(QuadraticMap(1.7), 1) == 2
+    assert lap_table(TentMap(1.7), 1).counts[-1] == 2
+    assert lap_table(QuadraticMap(1.7), 1).counts[-1] == 2
 
 
 def test_lap_against_grid_scan():
     t = TentMap(1.8)
-    assert lap_count(t, 10) == grid_scan_laps(t, 10)
+    assert lap_table(t, 10).counts[-1] == grid_scan_laps(t, 10)
 
 
 @pytest.mark.parametrize("map_", [TentMap(GOLDEN), QuadraticMap(SUPERSTABLE_4)])
@@ -172,7 +137,7 @@ def test_deep_lap_tables_give_log_slope(s):
 def test_quadratic_full_parameter():
     q = QuadraticMap(2.0)
     for n in range(1, 13):
-        assert lap_count(q, n) == 2**n
+        assert lap_table(q, n).counts[-1] == 2**n
     # preimages near +-1 lie closer together than 1e-12 from n = 20 on
     assert lap_table(q, 24).counts == tuple(2**n for n in range(1, 25))
 
@@ -238,7 +203,7 @@ def test_ratio_error_shrinks_with_depth():
 def test_resource_cap(monkeypatch):
     monkeypatch.setenv("ILIM_MAX_NODES", "10")
     with pytest.raises(ResourceCapError):
-        lap_count(TentMap(2.0), 12)
+        lap_table(TentMap(2.0), 12).counts[-1]
 
 
 def _lap_table_peak(n_max):
@@ -266,45 +231,6 @@ def test_lap_table_holds_no_counted_layer():
 def test_lap_table_peak_does_not_grow_with_the_laps():
     # 2**24 laps from one image held with its count, not from 2**24 nodes
     assert _lap_table_peak(24) < 2**20
-
-
-# -- deep branch counts ------------------------------------------------------
-
-
-def test_deep_branches_full_tent():
-    assert deep_branch_count(TentMap(2.0), 4, 0.01) == 16
-
-
-def test_deep_branches_refuse_a_nan_delta():
-    with pytest.raises(DomainError, match="delta"):
-        deep_branch_count(TentMap(1.8), 3, math.nan)
-
-
-def test_deep_branches_identity():
-    assert deep_branch_count(TentMap(1.8), 0, 0.0) == 1
-    assert deep_branch_count(TentMap(1.6), 0, 0.0) == 1
-
-
-def test_deep_branches_against_enumeration():
-    assert deep_branch_count(TentMap(1.8), 5, 0.05) == enumerate_branches(1.8, 5, 0.05)
-
-
-@pytest.mark.parametrize("s,k", [(1.8, 4), (1.6, 5), (2.0, 5)])
-def test_deep_branches_zero_delta_counts_all(s, k):
-    assert deep_branch_count(TentMap(s), k, 0.0) == enumerate_branches(s, k, 0.0)
-
-
-@given(
-    st.sampled_from([1.6, 1.8, 2.0]),
-    st.integers(min_value=1, max_value=6),
-    st.floats(min_value=0.0, max_value=0.2),
-    st.floats(min_value=0.0, max_value=0.2),
-)
-@settings(max_examples=40, deadline=None)
-def test_deep_branches_monotone_in_delta(s, k, d1, d2):
-    lo, hi = sorted((d1, d2))
-    t = TentMap(s)
-    assert deep_branch_count(t, k, lo) >= deep_branch_count(t, k, hi)
 
 
 # -- tent slope of quadratic maps --------------------------------------------
