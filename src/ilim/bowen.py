@@ -6,6 +6,13 @@ points after k applications of the R-th shift power is a weighted prefix sum
 of coordinate gaps ending at column depth + R*k.  One cumulative sum per
 candidate pair therefore prices all time steps at once, which keeps the
 greedy separated-set scan quadratic rather than cubic.
+
+Neither stage loops over points in Python.  `sample_points` grows every
+seed's branches in one array, and `separated_count` tests rows in blocks of
+`_BLOCK` against the kept rows, with at most `_SLICE` kept rows and `_SLICE`
+distance curves held at once.  The greedy result is the one a row-at-a-time
+scan gives, bit for bit: each pair's curve is the same sequential sum over
+the same columns, compared with eps in the same way.
 """
 
 from __future__ import annotations
@@ -27,6 +34,11 @@ DEFAULT_EPS_LIST = (2.0**-4, 2.0**-5, 2.0**-6, 2.0**-7)
 #: largest mean squared residual per point of a growth-fit window
 _FIT_RESIDUAL = 0.02
 
+#: rows that the greedy scan tests against its kept rows at once
+_BLOCK = 64
+#: most kept rows, and most row pairs, that one step of the scan compares
+_SLICE = 512
+
 
 @dataclass(eq=False)
 class PointCloud:
@@ -43,6 +55,8 @@ class PointCloud:
 
     def subcloud(self, size: int) -> "PointCloud":
         """Evenly strided subset, for brute-force cross-checks."""
+        if size < 1:
+            raise DomainError(f"a subcloud needs at least one row, got size {size}")
         n = len(self)
         if size >= n:
             return self
@@ -57,8 +71,12 @@ def sample_points(
 
     Each backward step doubles the branch count where both preimages exist;
     beyond per_branch_cap branches per seed an evenly strided subset is kept,
-    so the result is deterministic in the parameters.  Rows are deduplicated
-    and sorted lexicographically (the greedy scan order).
+    so the result is deterministic in the parameters.  All seeds step
+    together in one array, each row tagged with its seed: a seed's rows are
+    its left branches, then its right ones, and a seed with m > cap rows
+    keeps the ranks (j*m)//cap, j < cap.  Each step is charged to the node
+    budget before it is built.  Rows are deduplicated and sorted
+    lexicographically (the greedy scan order).
     """
     if not 0 <= depth <= 30:
         raise DomainError(f"cloud depth must lie in 0..30, got {depth}")
@@ -67,24 +85,37 @@ def sample_points(
     tent = TentMap(s)
     second, top = tent.second_image, tent.top
     used = charge(n_seeds, 0)
-    seeds = np.linspace(second, top, n_seeds + 2)[1:-1]
-    blocks = []
-    for x0 in seeds:
-        hist = np.array([[x0]])  # columns newest first while growing
-        for _ in range(depth):
-            y = hist[:, -1]
-            can_right = y >= second
-            used = charge(y.size + int(np.count_nonzero(can_right)), used)
-            pre = tent.branches(y)
-            left = np.hstack([hist, pre[: y.size, None]])
-            right = np.hstack([hist[can_right], pre[y.size :][can_right][:, None]])
-            hist = np.vstack([left, right])
-            if hist.shape[0] > per_branch_cap:
-                sel = np.unique((np.arange(per_branch_cap) * hist.shape[0]) // per_branch_cap)
-                hist = hist[sel]
-        blocks.append(hist[:, ::-1])  # flip to oldest-first
-    arr = np.unique(np.vstack(blocks), axis=0)
+    hist = np.linspace(second, top, n_seeds + 2)[1:-1, None]  # newest column last
+    seed = np.arange(n_seeds)  # each row's seed; a seed's rows stay contiguous
+    for _ in range(depth):
+        y = hist[:, -1]
+        can_right = y >= second
+        used = charge(y.size + int(np.count_nonzero(can_right)), used)
+        pre = tent.branches(y)
+        right = np.flatnonzero(can_right)
+        # each seed's left branches in order, then its right ones
+        order = np.argsort(np.concatenate([2 * seed, 2 * seed[right] + 1]), kind="stable")
+        parent = np.concatenate([np.arange(y.size), right])[order]
+        newest = np.concatenate([pre[: y.size], pre[y.size :][right]])[order]
+        seed = seed[parent]
+        m = np.bincount(seed, minlength=n_seeds)
+        over = np.flatnonzero(m > per_branch_cap)
+        if over.size:  # ranks (j*m)//cap, j < cap, of each seed with m > cap rows
+            start = np.cumsum(m) - m
+            keep = m[seed] <= per_branch_cap
+            ranks = (np.arange(per_branch_cap) * m[over, None]) // per_branch_cap
+            keep[(start[over, None] + ranks).ravel()] = True
+            parent, newest, seed = parent[keep], newest[keep], seed[keep]
+        hist = np.hstack([hist[parent], newest[:, None]])
+    arr = np.unique(hist[:, ::-1], axis=0)  # oldest column first
     return PointCloud(s, depth, arr)
+
+
+def _check_cloud(cloud: PointCloud) -> None:
+    if len(cloud) == 0:
+        raise DomainError("the cloud has no rows")
+    if not np.isfinite(cloud.array).all():
+        raise DomainError("the cloud has a non-finite coordinate")
 
 
 def _extend_forward(cloud: PointCloud, steps: int) -> np.ndarray:
@@ -109,31 +140,70 @@ def separated_count(cloud: PointCloud, R: int, n: int, eps: float) -> int:
     Points are scanned in the fixed lexicographic order; a point is kept iff
     every kept point is more than eps away at some time k < n.  Negative R
     runs the inverse shift (history truncation), which needs depth >= |R|*(n-1).
+
+    The scan takes the rows in blocks.  A block's rows are first tested
+    against the rows kept before it, all at once; the survivors are then
+    settled against each other in scan order.  A pair is compared in full
+    only if it is within eps at the present coordinate and, at each later
+    time, at its newest coordinate.  A cloud with no rows, or with a
+    non-finite coordinate, is refused.
     """
     if n < 1:
         raise DomainError("n must be at least 1")
     if not 0 < eps < math.inf:
         raise DomainError(f"eps must be positive and finite, got {eps}")
+    _check_cloud(cloud)
     ends = _end_columns(cloud.depth, R, n)
-    ext = _extend_forward(cloud, int(ends.max()) - cloud.depth)
-    W = ext.shape[1]
-    weighted = ext * np.power(2.0, np.arange(W) - (W - 1))
+    weighted = _extend_forward(cloud, int(ends.max()) - cloud.depth)
+    N, W = weighted.shape
+    present = weighted[:, cloud.depth].copy()  # |gap| here alone decides time k=0 at weight 1
+    weighted *= np.power(2.0, np.arange(W) - (W - 1))
+    newest = weighted[:, ends].T.copy()  # row k: each point's newest coordinate at time k
     scale = np.power(2.0, (W - 1) - ends.astype(float))
-    present = ext[:, cloud.depth]  # |gap| here alone decides time k=0 at weight 1
-    kept = np.empty(ext.shape[0], dtype=np.intp)  # row indices, in scan order
+
+    forward = np.flatnonzero(ends > cloud.depth)  # the times after the present
+
+    def near(rows, cands):
+        # a pair this far apart at the present coordinate is separated at k=0
+        return np.abs(present[rows, None] - present[cands]) <= eps
+
+    def held(rows, cands, pairs):
+        """The (i, j) among `pairs` with rows[i] within eps of cands[j] at
+        every time k < n."""
+        i, j = np.nonzero(pairs)
+        # d_k is a prefix sum of nonnegative gaps that ends in the newest gap
+        # at time k, so a pair that gap alone parts is parted; forward images
+        # spread pairs apart, which prunes most pairs before any sum is taken
+        for k in forward:
+            close = np.abs(newest[k, rows[i]] - newest[k, cands[j]]) * scale[k] <= eps
+            i, j = i[close], j[close]
+        out = np.empty(i.size, dtype=bool)
+        for lo in range(0, i.size, _SLICE):
+            a, b = rows[i[lo : lo + _SLICE]], cands[j[lo : lo + _SLICE]]
+            pref = np.cumsum(np.abs(weighted[a] - weighted[b]), axis=1)
+            out[lo : lo + _SLICE] = (pref[:, ends] * scale <= eps).all(axis=1)
+        return i[out], j[out]
+
+    kept = np.empty(N, dtype=np.intp)  # row indices, in scan order
     count = 0
-    for i in range(ext.shape[0]):
-        if count:
-            rows = kept[:count]
-            close = np.abs(present[rows] - present[i]) <= eps
-            if close.any():
-                diff = np.abs(weighted[rows[close]] - weighted[i])
-                pref = np.cumsum(diff, axis=1)
-                dk = pref[:, ends] * scale
-                if not (dk > eps).any(axis=1).all():
-                    continue
-        kept[count] = i
-        count += 1
+    for lo in range(0, N, _BLOCK):
+        free = np.arange(lo, min(lo + _BLOCK, N))
+        # drop the block's rows that some row kept before the block holds
+        for klo in range(0, count, _SLICE):
+            if not free.size:
+                break
+            rows = kept[klo : min(klo + _SLICE, count)]
+            free = np.delete(free, held(rows, free, near(rows, free))[1])
+        # then settle the survivors against each other in scan order
+        later = np.zeros((free.size, free.size), dtype=bool)  # [i, j]: i holds j > i
+        later[held(free, free, np.triu(near(free, free), 1))] = True
+        alive = np.ones(free.size, dtype=bool)
+        for c in range(free.size):
+            if alive[c]:  # kept: nothing kept before it holds it
+                alive[c + 1 :] &= ~later[c, c + 1 :]
+        new = free[alive]
+        kept[count : count + new.size] = new
+        count += new.size
     return count
 
 
@@ -198,6 +268,7 @@ def separation_curves(
     if n_max < 4:
         raise DomainError("n_max must be at least 4")
     eps_list = _scales(eps_list)
+    _check_cloud(cloud)
     curves = []
     used = 0  # one budget total for the whole call
     for eps in eps_list:
@@ -299,6 +370,7 @@ def itinerary_upper_bound(
     """
     if n < 1 or m < 1:
         raise DomainError("need n >= 1 and m >= 1")
+    _check_cloud(cloud)
     bounds, q = partition_blocks(cloud.slope, eps0)
     if q > cloud.depth:
         raise DepthError(

@@ -6,6 +6,7 @@ against an exact maximum-independent-set solver (bitset branch and bound) on
 small subclouds, where the greedy answer must sit within a factor two.
 """
 
+import hashlib
 import math
 import tracemalloc
 
@@ -14,11 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ilim import bowen
 from ilim import (
     BackwardPoint,
     DepthError,
     DomainError,
     PartitionError,
+    PointCloud,
     ResourceCapError,
     SeparationCurve,
     TentMap,
@@ -74,6 +77,59 @@ def greedy_by_definition(sub, R, n, eps):
         if ok:
             kept.append(i)
     return len(kept)
+
+
+def sample_by_seed(s, depth, per_branch_cap, n_seeds):
+    """The sampler one seed at a time, as it was written before it was batched.
+
+    Each seed's rows grow left branches first, then right ones, and are cut
+    to the ranks (j*m)//cap once a seed holds m > cap rows.
+    """
+    tent = TentMap(s)
+    second, top = tent.second_image, tent.top
+    blocks = []
+    for x0 in np.linspace(second, top, n_seeds + 2)[1:-1]:
+        hist = np.array([[x0]])  # newest column last while growing
+        for _ in range(depth):
+            y = hist[:, -1]
+            can_right = y >= second
+            pre = tent.branches(y)
+            left = np.hstack([hist, pre[: y.size, None]])
+            right = np.hstack([hist[can_right], pre[y.size :][can_right][:, None]])
+            hist = np.vstack([left, right])
+            if hist.shape[0] > per_branch_cap:
+                sel = np.unique((np.arange(per_branch_cap) * hist.shape[0]) // per_branch_cap)
+                hist = hist[sel]
+        blocks.append(hist[:, ::-1])
+    return np.unique(np.vstack(blocks), axis=0)
+
+
+def scan_row_by_row(cloud, R, n, eps):
+    """The greedy scan one row at a time, as it was written before blocks.
+
+    Each candidate's distance curves to the kept rows are the same
+    sequential prefix sums over the same weighted columns, so the counts
+    must agree exactly, ties at eps included.  Also returns every pair's
+    largest distance over k < n, from which the tests draw tied scales.
+    """
+    ends = cloud.depth + R * np.arange(n)
+    ext = bowen._extend_forward(cloud, int(ends.max()) - cloud.depth)
+    W = ext.shape[1]
+    weighted = ext * np.power(2.0, np.arange(W) - (W - 1))
+    scale = np.power(2.0, (W - 1) - ends.astype(float))
+    present = ext[:, cloud.depth]
+    kept = []
+    for i in range(ext.shape[0]):
+        rows = np.asarray(kept, dtype=np.intp)
+        close = np.abs(present[rows] - present[i]) <= eps
+        if close.any():
+            pref = np.cumsum(np.abs(weighted[rows[close]] - weighted[i]), axis=1)
+            if not (pref[:, ends] * scale > eps).any(axis=1).all():
+                continue
+        kept.append(i)
+    a, b = np.triu_indices(ext.shape[0], 1)
+    pref = np.cumsum(np.abs(weighted[a] - weighted[b]), axis=1)
+    return len(kept), (pref[:, ends] * scale).max(axis=1)
 
 
 def conflict_masks(sub, R, n, eps):
@@ -231,9 +287,41 @@ def test_sampling_is_charged_before_it_allocates(monkeypatch):
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("s", [1.5, 1.6, 1.8, 1.9, 2.0])
+def test_batched_sampler_equals_the_per_seed_loop(s):
+    for cap in (1, 3, 4, 16, 128):
+        for n_seeds in (1, 7, 33):
+            for depth in (0, 1, 6, 12):
+                got = sample_points(s, depth, cap, n_seeds).array
+                want = sample_by_seed(s, depth, cap, n_seeds)
+                assert got.shape == want.shape, (cap, n_seeds, depth)
+                assert got.tobytes() == want.tobytes(), (cap, n_seeds, depth)
+
+
+def test_benchmark_clouds_are_frozen():
+    # the bowen_sweep clouds, as the per-seed loop built them
+    cloud = sample_points(2.0, 12, 1, 2048)
+    rich = sample_points(2.0, 12, 128, 24)
+    assert cloud.array.shape == (2048, 13)
+    assert rich.array.shape == (3072, 13)
+    assert hashlib.sha256(cloud.array.tobytes()).hexdigest() == (
+        "82a7d3fab5eb6ada70017baf975967c040c6343bb7557eeb766f0107bf837096"
+    )
+    assert hashlib.sha256(rich.array.tobytes()).hexdigest() == (
+        "82cb8fc67d639419bbb7600c8c6aff43811e09cebd814bbf501b421df502c339"
+    )
+
+
 def test_subcloud_identity_when_large_enough():
     cloud = sample_points(1.8, 5, per_branch_cap=4, n_seeds=10)
     assert cloud.subcloud(10 * 4) is cloud
+
+
+@pytest.mark.parametrize("size", [0, -3])
+def test_subcloud_refuses_fewer_than_one_row(size):
+    cloud = sample_points(1.8, 5, per_branch_cap=4, n_seeds=10)
+    with pytest.raises(DomainError, match="at least one row"):
+        cloud.subcloud(size)
 
 
 @settings(max_examples=25, deadline=None)
@@ -299,6 +387,95 @@ def test_separated_count_rejects_bad_parameters():
         separated_count(cloud, 1, 0, 0.1)
     with pytest.raises(DomainError):
         separated_count(cloud, 1, 3, 0.0)
+
+
+@pytest.mark.parametrize(
+    "array",
+    [np.empty((0, 11)), np.where(np.eye(3, 11, dtype=bool), math.nan, 0.5)],
+    ids=["no rows", "nan"],
+)
+def test_scans_refuse_an_empty_or_non_finite_cloud(array):
+    cloud = PointCloud(2.0, 10, array)
+    with pytest.raises(DomainError, match="cloud has"):
+        separated_count(cloud, 1, 3, 0.1)
+    with pytest.raises(DomainError, match="cloud has"):
+        separation_curves(cloud, 1, (0.1,), n_max=4)
+    with pytest.raises(DomainError, match="cloud has"):
+        itinerary_upper_bound(cloud, 1, 1, 2.0**-3, 3)
+
+
+BOWEN_SWEEP_COUNTS = {
+    (0, 2.0**-3): (11, 11, 11, 11, 11, 11, 11, 11),
+    (0, 2.0**-4): (22, 22, 22, 22, 22, 22, 22, 22),
+    (1, 2.0**-3): (11, 21, 40, 76, 132, 244, 399, 730),
+    (1, 2.0**-4): (22, 41, 80, 148, 273, 466, 893, 1712),
+    (2, 2.0**-3): (11, 38, 123, 349, 1102, 1435, 1505, 1571),
+    (2, 2.0**-4): (22, 78, 264, 846, 1760, 1906, 1920, 1934),
+}
+
+
+@pytest.mark.parametrize("R", [0, 1, 2])
+def test_benchmark_scans_are_frozen(R):
+    # the bowen_sweep curves, as the row-at-a-time scan counted them
+    cloud = sample_points(2.0, 12, 1, 2048)
+    curves = separation_curves(cloud, R, (2.0**-3, 2.0**-4), n_max=8)
+    for curve in curves:
+        assert tuple(c for _, c in curve.counts) == BOWEN_SWEEP_COUNTS[R, curve.eps]
+
+
+def test_benchmark_inverse_scan_is_frozen():
+    rich = sample_points(2.0, 12, 128, 24)
+    (curve,) = separation_curves(rich, -1, (2.0**-3,), n_max=9)
+    assert tuple(c for _, c in curve.counts) == (9, 9, 9, 16, 24, 40, 60, 98, 178)
+
+
+@pytest.mark.parametrize("R", [-1, 0, 1, 2])
+def test_scan_blocks_match_the_definition_at_their_edges(R):
+    # subclouds that end just before, on and just after a block boundary
+    B = bowen._BLOCK
+    cloud = sample_points(1.9, 6, per_branch_cap=4, n_seeds=96)
+    assert len(cloud) > 2 * B + 1
+    for size in (B - 1, B, B + 1, 2 * B + 1):
+        sub = cloud.subcloud(size)
+        assert len(sub) == size
+        for n, eps in ((3, 0.1), (2, 0.05), (4, 0.25)):
+            assert separated_count(sub, R, n, eps) == greedy_by_definition(sub, R, n, eps)
+
+
+@pytest.mark.parametrize("R,n", [(-1, 4), (0, 2), (1, 4), (2, 3)])
+def test_pairs_exactly_eps_apart_count_as_close(R, n):
+    # scales drawn from the pairs' own distances put ties exactly at eps
+    cloud = sample_points(2.0, 8, per_branch_cap=8, n_seeds=24).subcloud(150)
+    _, dist = scan_row_by_row(cloud, R, n, 1.0)
+    for eps in np.quantile(dist, [0.02, 0.1, 0.3], method="lower"):
+        assert (dist == eps).any()
+        assert separated_count(cloud, R, n, eps) == scan_row_by_row(cloud, R, n, eps)[0]
+        below = np.nextafter(eps, 0.0)
+        assert separated_count(cloud, R, n, below) == scan_row_by_row(cloud, R, n, below)[0]
+
+
+def test_two_close_rows_in_one_block_keep_only_the_first():
+    # nothing is kept before the first block, so only the settling of the
+    # block against itself can drop the second of two close rows
+    cloud = sample_points(2.0, 8, per_branch_cap=4, n_seeds=64)
+    pair = PointCloud(2.0, 8, cloud.array[:2])
+    gap = metric(*pair.points)
+    assert 0 < gap < 0.1
+    assert separated_count(pair, 1, 1, 0.1) == 1 == greedy_by_definition(pair, 1, 1, 0.1)
+    assert separated_count(pair, 1, 1, gap / 2) == 2 == greedy_by_definition(pair, 1, 1, gap / 2)
+
+
+def test_scan_memory_stays_bounded():
+    # the scan works in blocks and slices of bounded size, not in one
+    # matrix over all pairs
+    cloud = sample_points(2.0, 12, 1, 2048)
+    tracemalloc.start()
+    try:
+        separated_count(cloud, 2, 8, 2.0**-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
 
 
 def test_greedy_sits_within_factor_two_of_exact_maximum():

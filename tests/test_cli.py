@@ -229,6 +229,23 @@ def test_separated_csv_table(capsys):
         assert float(log_count) == pytest.approx(math.log(int(count)))
 
 
+def test_readme_separated_example_is_frozen(capsys):
+    # README's example, byte for byte as the row-at-a-time scan printed it;
+    # its counts reach 3,984 kept rows, so the scan crosses many blocks
+    code, out, err = run(capsys, "separated", "--slope", "1.9", "--R", "1", "--depth", "8",
+                         "--n-max", "6", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out == (
+        "eps,n,count,log_count\n"
+        "0.015625,1,298,5.697093486505405\n"
+        "0.015625,2,514,6.2422232654551655\n"
+        "0.015625,3,1016,6.923628628138427\n"
+        "0.015625,4,1352,7.20934025660291\n"
+        "0.015625,5,2009,7.605392364814935\n"
+        "0.015625,6,3984,8.290041618704489\n"
+    )
+
+
 def test_entropy_bowen_identity_power_is_zero(capsys):
     report = run_json(capsys, "entropy-bowen", "--slope", "2", "--R", "0", "--depth", "8",
                       "--seeds", "32", "--eps", "0.03125", "--n-max", "5")
