@@ -17,13 +17,14 @@ the same columns, compared with eps in the same way.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chains import build_chain, limit_diameter, limit_mesh
+from .chains import _lift_terms, build_chain, limit_mesh
 from .errors import DepthError, DomainError, PartitionError, charge
 from .inverse_limit import BackwardPoint
 from .lap_entropy import EntropyEstimate
@@ -347,14 +348,17 @@ def partition_blocks(s: float, eps0: float) -> tuple[np.ndarray, int]:
     breaks = chain.breakpoints
     if limit_mesh(chain) > 2.0 * eps0:  # the widest single link
         raise PartitionError("single link exceeds the block scale")
-    bounds = [breaks[0]]
+    # a block [b_i, b_j] ends at the last j whose limit_diameter is within
+    # 2*eps0, at least i + 1; the diameter grows with j, so bisect for it
+    coef, tail = _lift_terms(chain)
+    b = breaks.tolist()
+    bounds = [b[0]]
     i = 0
-    while i < len(breaks) - 1:
-        j = i + 1
-        while j < len(breaks) - 1 and limit_diameter(chain, breaks[i], breaks[j + 1]) <= 2.0 * eps0:
-            j += 1
-        bounds.append(breaks[j])
-        i = j
+    while i < len(b) - 1:
+        bi = b[i]
+        k = bisect.bisect_right(b, 2.0 * eps0, i + 1, key=lambda v: coef * (v - bi) + tail)
+        i = max(i + 1, k - 1)
+        bounds.append(b[i])
     return np.asarray(bounds), q
 
 

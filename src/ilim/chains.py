@@ -20,13 +20,14 @@ import numpy as np
 
 from .errors import DepthError, DomainError, charge
 from .inverse_limit import BackwardPoint, arc_records, projection, salient_positions
-from .maps import MATCH_TOL, TOL, TentMap, backward_tree, forward_orbit
+from .maps import MATCH_TOL, TOL, TentMap, _increasing_branches, backward_tree, forward_orbit
 
 
 @dataclass(frozen=True, eq=False)
 class IntervalChain:
     """Sorted breakpoints 0 = b_0 < ... < b_m = top at pullback level p, kept
-    as a read-only float64 array."""
+    as a read-only float64 array.  At least two finite breakpoints in
+    non-decreasing order, or DomainError."""
 
     slope: float
     index: int
@@ -34,6 +35,16 @@ class IntervalChain:
 
     def __post_init__(self) -> None:
         b = np.array(self.breakpoints, dtype=float)
+        # finite ends and no decreasing step (a NaN fails the step test) make
+        # every breakpoint finite, in one pass over the array
+        if not (
+            b.ndim == 1
+            and b.size >= 2
+            and math.isfinite(b[0])
+            and math.isfinite(b[-1])
+            and (b[1:] >= b[:-1]).all()
+        ):
+            raise DomainError("chain breakpoints must be at least two finite, non-decreasing values")
         b.flags.writeable = False
         object.__setattr__(self, "breakpoints", b)
 
@@ -55,8 +66,7 @@ class IntervalChain:
 
 
 def _dedup(a: np.ndarray) -> np.ndarray:
-    """Sort ``a`` in place; drop entries within TOL of their predecessor."""
-    a.sort()
+    """Drop the entries of the non-decreasing ``a`` within TOL of their predecessor."""
     keep = np.empty(a.size, dtype=bool)
     keep[0] = True
     np.greater(np.diff(a), TOL, out=keep[1:])
@@ -73,11 +83,13 @@ def _base_grid(tent: TentMap, eps: float) -> np.ndarray:
     cells = 2**k
     charge(cells + 3, 0)
     grid = np.linspace(0.0, tent.top, cells + 1)
-    return _dedup(np.concatenate([grid, [tent.critical, tent.top]]))
+    return _dedup(np.sort(np.concatenate([grid, [tent.critical, tent.top]])))
 
 
 def _pullback(tent: TentMap, breaks: np.ndarray) -> np.ndarray:
-    """Preimages of the breakpoints, which lie in [0, top] and include 0.
+    """Preimages of the increasing breakpoints, which lie in [0, top] and
+    include 0.  They come in increasing order (``_increasing_branches``), and
+    the clip keeps it, so only near-duplicates are dropped; nothing is sorted.
 
     Left preimages lie in [0, top/s].  Right ones lie in [1/2, top] up to
     round-off for breakpoints at or above the second image; the rest, and
@@ -85,7 +97,7 @@ def _pullback(tent: TentMap, breaks: np.ndarray) -> np.ndarray:
     these onto top, so both ends are in the array, and the extra copies of
     top are dropped with the other duplicates.
     """
-    pre = tent.branches(breaks)
+    pre = _increasing_branches(tent, breaks)
     return _dedup(np.clip(pre, 0.0, tent.top, out=pre))
 
 
@@ -116,10 +128,14 @@ def limit_diameter(chain: IntervalChain, lo: float, hi: float) -> float:
     A coordinate m steps above the deepest varies by at most s**m * (hi-lo),
     weighted 2**-(p-m); the unconstrained history below depth p adds 2**-p * top.
     """
+    coef, tail = _lift_terms(chain)
+    return coef * (hi - lo) + tail
+
+
+def _lift_terms(chain: IntervalChain) -> tuple[float, float]:
+    """The width coefficient and the constant of ``limit_diameter``."""
     s, p = chain.slope, chain.index
-    width = hi - lo
-    coef = sum(2.0 ** (m - p) * s**m for m in range(p + 1))
-    return coef * width + 2.0**-p * (s / 2.0)
+    return sum(2.0 ** (m - p) * s**m for m in range(p + 1)), 2.0**-p * (s / 2.0)
 
 
 def limit_mesh(chain: IntervalChain) -> float:

@@ -203,16 +203,17 @@ def arc_records(s: float, n: int) -> Arc:
     Positions are the values of the deepest coordinate, in [0, critical], in
     increasing order: the nodes of layers 0..n of the backward tree of the
     critical point over [0, top].  A node of layer j first reaches the
-    critical point after j forward steps, and its level is n - j.
+    critical point after j forward steps, and its level is n - j.  Each layer
+    comes in increasing order, so its nodes on the arc are a prefix, and the
+    stable sort merges n + 1 sorted runs; a node shared by two layers keeps
+    the order of its layers.
     """
     if n < 1:
         raise DomainError("arc index must be at least 1")
     tent = TentMap(s)
-    layers = list(backward_tree(tent, n))
+    layers = [x[: np.searchsorted(x, tent.critical, side="right")] for x in backward_tree(tent, n)]
     pos = np.concatenate(layers)
     steps = np.repeat(np.arange(n + 1), [layer.size for layer in layers])
-    on_arc = pos <= tent.critical
-    pos, steps = pos[on_arc], steps[on_arc]
     order = np.argsort(pos, kind="stable")
     return Arc(n, pos[order], n - steps[order])
 

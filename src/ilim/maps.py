@@ -173,15 +173,27 @@ def critical_cycle(map_: UnimodalMap, steps: int) -> list[float]:
     return []
 
 
+def _increasing_branches(map_: UnimodalMap, y: np.ndarray) -> np.ndarray:
+    """Both inverse branches of the increasing values ``y``, in increasing
+    order: the left branch as ``branches`` gives it, then the right one
+    reversed.  The left branch of an increasing array increases, the right one
+    decreases, and every right preimage lies at or above every left one."""
+    out = map_.branches(y)
+    right = out[np.size(y) :]
+    right[:] = right[::-1]  # numpy copies an overlapping operand first
+    return out
+
+
 def backward_tree(map_: UnimodalMap, depth: int) -> Iterator[np.ndarray]:
     """First-hit preimages of the critical point, yielded layer by layer.
 
     Layer j = 0..depth holds the points x of [domain start, top] with
-    f^j(x) = critical, in no particular order; two words of inverse branches
+    f^j(x) = critical, in increasing order; two words of inverse branches
     meet only at the top, whose one preimage is c, so none is deduplicated.
     At a periodic c, the node of each layer nearest its orbit point (see
-    ``critical_cycle``) is snapped to it, so the test against the top is exact.
-    Each layer is charged to the node budget before it is built.
+    ``critical_cycle``) is snapped to it, so the test against the top is exact;
+    the nearest node keeps its place in the order.  Each layer is charged to
+    the node budget before it is built.
     """
     if depth < 0:
         raise DomainError("tree depth must be nonnegative")
@@ -191,15 +203,12 @@ def backward_tree(map_: UnimodalMap, depth: int) -> Iterator[np.ndarray]:
     used = charge(1, 0)
     yield x
     for j in range(1, depth + 1):
-        below = x < hi
-        if not below.all():
-            x = x[below]
+        x = x[: np.searchsorted(x, hi)]
         used = charge(2 * x.size, used)
-        x = map_.branches(x)
+        x = _increasing_branches(map_, x)
         if j < len(cycle):
             x[np.argmin(np.abs(x - cycle[-1 - j]))] = cycle[-1 - j]
-        inside = (x >= lo) & (x <= hi)
-        x = x if inside.all() else x[inside]
+        x = x[np.searchsorted(x, lo) : np.searchsorted(x, hi, side="right")]
         yield x
 
 

@@ -38,6 +38,9 @@ from ilim import (
     validate,
 )
 
+GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0  # the critical point has period 3
+PERIOD_4 = 1.839286755214161  # the critical point has period 4
+
 # ---------------------------------------------------------------------------
 # independent oracles
 
@@ -600,6 +603,39 @@ def test_partition_blocks_land_on_the_target_scale(s, eps0):
     for d in diams[:-1]:
         assert eps0 < d <= 2.0 * eps0
     assert diams[-1] <= 2.0 * eps0
+
+
+# (level q, boundaries, first 16 hex digits of the sha256 of their bytes) of
+# partition_blocks(s, eps0), taken while each block was grown one link at a time
+FROZEN_PARTITIONS = {
+    (1.5, 2.0**-3): (5, 42, "04cc88a8c6f42de0"),
+    (1.5, 2.0**-4): (6, 123, "4c784197a4e852d9"),
+    (1.5, 0.1): (5, 50, "8a5053266a7b44d7"),
+    (1.5, 0.045): (7, 232, "7d5d81814598bde0"),
+    (1.8, 2.0**-3): (5, 111, "f6d905eb5063b51f"),
+    (1.8, 2.0**-4): (6, 398, "ab622d5f838e1f37"),
+    (1.8, 0.1): (6, 231, "f3b779e8406dba83"),
+    (1.8, 0.045): (7, 925, "c638e61b9c51ecb0"),
+    (2.0, 2.0**-3): (5, 197, "992fae982c258557"),
+    (2.0, 2.0**-4): (6, 782, "77d64ee35785202a"),
+    (2.0, 0.1): (6, 483, "e2bdad6b0cc5255e"),
+    (2.0, 0.045): (7, 2186, "9fbed746ea2e9b4d"),
+    (GOLDEN, 2.0**-3): (5, 61, "01202f50518e84dc"),
+    (GOLDEN, 2.0**-4): (6, 193, "28e9777a357319f2"),
+    (GOLDEN, 0.1): (6, 116, "698f6ba971ee2150"),
+    (GOLDEN, 0.045): (7, 415, "249cecf20aa7bce7"),
+    (PERIOD_4, 2.0**-3): (5, 124, "060d5748ce0261b9"),
+    (PERIOD_4, 2.0**-4): (6, 453, "09c2fe9fcfeab958"),
+    (PERIOD_4, 0.1): (6, 277, "e63bc16423474b35"),
+    (PERIOD_4, 0.045): (7, 1139, "b721204ab7566f9c"),
+}
+
+
+@pytest.mark.parametrize("s,eps0", list(FROZEN_PARTITIONS))
+def test_partition_is_frozen(s, eps0):
+    bounds, q = partition_blocks(s, eps0)
+    digest = hashlib.sha256(bounds.tobytes()).hexdigest()[:16]
+    assert (q, bounds.size, digest) == FROZEN_PARTITIONS[s, eps0]
 
 
 def test_partition_level_resolves_the_scale():

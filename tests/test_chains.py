@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -7,6 +8,8 @@ import pytest
 from ilim.chains import (
     AlignmentReport,
     IntervalChain,
+    _dedup,
+    _pullback,
     adjacency_ok,
     build_chain,
     limit_diameter,
@@ -29,6 +32,7 @@ from ilim.maps import MATCH_TOL, TentMap
 
 SLOPES = [1.6, 1.8, 2.0]
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0  # the critical point has period 3
+PERIOD_4 = 1.839286755214161  # the critical point has period 4
 
 
 def test_breakpoints_contain_critical():
@@ -115,6 +119,26 @@ def test_breakpoints_are_a_read_only_array():
         ch.breakpoints[1] = 0.2
     assert ch.mesh == pytest.approx(0.3) and adjacency_ok(ch)
     assert not adjacency_ok(IntervalChain(1.8, 0, (0.0, 0.3, 0.3, 0.9)))
+
+
+@pytest.mark.parametrize(
+    "breaks",
+    [(0.0, math.nan, 0.9), (0.0, 0.3, math.inf), (-math.inf, 0.3, 0.9), (math.nan, math.nan)],
+)
+def test_chain_refuses_non_finite_breakpoints(breaks):
+    with pytest.raises(DomainError, match="finite"):
+        IntervalChain(1.8, 0, breaks)
+
+
+def test_chain_refuses_a_decreasing_step():
+    with pytest.raises(DomainError, match="non-decreasing"):
+        IntervalChain(1.8, 0, (0.0, 0.6, 0.3, 0.9))
+
+
+@pytest.mark.parametrize("breaks", [(), (0.5,), [[0.0, 0.9], [0.0, 0.9]]])
+def test_chain_refuses_fewer_than_two_breakpoints(breaks):
+    with pytest.raises(DomainError, match="at least two"):
+        IntervalChain(1.8, 0, breaks)
 
 
 def test_limit_diameter_monotone_in_width():
@@ -283,6 +307,100 @@ def test_alignment_failures_at_a_periodic_critical_point():
     rep = verify_plevel_alignment(GOLDEN, 4, 2, 1, 10)
     assert (rep.checks, rep.passed) == (232, 0)
     assert rep.failures[0] == "position 0.00406530937789: level 0 after 1 shifts, expected 3"
+
+
+def _digest(a):
+    """First 16 hex digits of the sha256 of an array's bytes."""
+    return hashlib.sha256(a.tobytes()).hexdigest()[:16]
+
+
+def _sorted_pullback(tent, breaks):
+    """Oracle: the pullback as it was, sorting the clipped preimages before
+    dropping near-duplicates."""
+    return _dedup(np.sort(np.clip(tent.branches(breaks), 0.0, tent.top)))
+
+
+@pytest.mark.parametrize("s", [1.3, 1.5, 1.8, 2.0, GOLDEN, PERIOD_4])
+@pytest.mark.parametrize("eps", [0.3, 0.04])
+def test_pullback_is_the_sorted_pullback(s, eps):
+    tent = TentMap(s)
+    breaks = build_chain(s, 0, eps).breakpoints
+    for _ in range(9):
+        got = _pullback(tent, breaks)
+        assert got.tobytes() == _sorted_pullback(tent, breaks).tobytes()
+        breaks = got
+
+
+# links and breakpoint digests of build_chain(s, p, eps), taken before the
+# pullbacks came in order; every one holds its mandatory points
+FROZEN_CHAINS = {
+    (1.5, 0, 0.3): (9, "c9b134623506fc3d"),
+    (1.5, 1, 0.05): (50, "58d9c3ccf6957726"),
+    (1.5, 6, 0.1): (200, "6c04dd377d21a804"),
+    (1.5, 7, 0.1): (302, "24558223ed9d1a0d"),
+    (1.5, 13, 0.04): (12773, "79ac80ad98c8037d"),
+    (1.5, 14, 0.02): (37822, "4748ae0491604c49"),
+    (1.8, 0, 0.3): (9, "128ece36926d4ff3"),
+    (1.8, 1, 0.05): (118, "f23fe508d32a4a79"),
+    (1.8, 6, 0.1): (1159, "a2c04f4ca4754798"),
+    (1.8, 7, 0.1): (2089, "83fb60875b0272e4"),
+    (1.8, 13, 0.04): (137963, "52eb9774579ed4ca"),
+    (1.8, 14, 0.02): (487824, "a348216a2c1e88c9"),
+    (2.0, 0, 0.3): (8, "84c85f60d85e1785"),
+    (2.0, 1, 0.05): (128, "d7b1fd07f63d583f"),
+    (2.0, 6, 0.1): (2048, "5e4be67d7eea46d3"),
+    (2.0, 7, 0.1): (4096, "818e307fee696baa"),
+    (2.0, 13, 0.04): (524288, "c4253d3201418248"),
+    (2.0, 14, 0.02): (2097152, "d6f9794036fa93e6"),
+    (GOLDEN, 0, 0.3): (9, "365a98c856292b43"),
+    (GOLDEN, 1, 0.05): (106, "ce7213f3e26b450c"),
+    (GOLDEN, 6, 0.1): (609, "ee6440a325396ffd"),
+    (GOLDEN, 7, 0.1): (986, "9d13dee022f19254"),
+    (GOLDEN, 13, 0.04): (34434, "de8096e7dfab5b99"),
+    (GOLDEN, 14, 0.02): (109836, "995bebba239d7864"),
+    (PERIOD_4, 0, 0.3): (9, "75c671c7d3d510b3"),
+    (PERIOD_4, 1, 0.05): (120, "d8c4cc3c198c732c"),
+    (PERIOD_4, 6, 0.1): (1297, "c17abef50979ecd1"),
+    (PERIOD_4, 7, 0.1): (2386, "02bcc07e7b9fb537"),
+    (PERIOD_4, 13, 0.04): (181658, "90d0c5b55378d4eb"),
+    (PERIOD_4, 14, 0.02): (659341, "29a207e8559bc383"),
+}
+
+
+@pytest.mark.parametrize("s,p,eps", list(FROZEN_CHAINS))
+def test_chain_is_frozen(s, p, eps):
+    ch = build_chain(s, p, eps)
+    assert (ch.n_links, _digest(ch.breakpoints)) == FROZEN_CHAINS[s, p, eps]
+    assert mandatory_ok(ch)
+
+
+@pytest.mark.parametrize("s", [1.5, 1.8, 2.0, GOLDEN, PERIOD_4])
+def test_frozen_chains_refine(s):
+    assert refines(build_chain(s, 7, 0.1), build_chain(s, 6, 0.1))
+    assert refines(build_chain(s, 14, 0.02), build_chain(s, 13, 0.04))
+
+
+# (M, checks, passed, digest of the failure lines) of verify_plevel_alignment,
+# taken before the arcs came from ordered layers.  The GOLDEN and PERIOD_4
+# reports fail: where c recurs, the check reads the level from the latest
+# critical hit and the arc from the first
+FROZEN_ALIGNMENTS = {
+    (GOLDEN, 4, 2, 1, 14): (3, 1596, 0, "1e7093c9f8bda931"),
+    (PERIOD_4, 4, 2, 1, 12): (3, 2031, 927, "c7494d549e0db0be"),
+    (1.5, 3, 3, 1, 21): (1, 14793, 14793, "e3b0c44298fc1c14"),
+    (1.5, 4, 3, 0, 21): (1, 14793, 14793, "e3b0c44298fc1c14"),
+    (1.5, 4, 4, 1, 21): (1, 14793, 14793, "e3b0c44298fc1c14"),
+    (1.5, 5, 4, 0, 21): (1, 14793, 14793, "e3b0c44298fc1c14"),
+    (1.8, 4, 2, 1, 14): (3, 5994, 5994, "e3b0c44298fc1c14"),
+    (2.0, 5, 3, 2, 12): (4, 4096, 4096, "e3b0c44298fc1c14"),
+}
+
+
+@pytest.mark.parametrize("args", list(FROZEN_ALIGNMENTS))
+def test_alignment_report_is_frozen(args):
+    rep = verify_plevel_alignment(*args)
+    failures = hashlib.sha256("\n".join(rep.failures).encode()).hexdigest()[:16]
+    assert (rep.M, rep.checks, rep.passed, failures) == FROZEN_ALIGNMENTS[args]
 
 
 def test_alignment_rejects_bad_shape():

@@ -6,6 +6,7 @@ up to float round-off.
 """
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -423,3 +424,43 @@ def test_shift_lipschitz(t1, t2, s):
     # exact decomposition, then the (s + 1/2) coarse bound
     assert ds == pytest.approx(abs(tm(x.current) - tm(y.current)) + 0.5 * d, abs=1e-12)
     assert ds <= (s + 0.5) * d + 1e-12
+
+
+# (records, positions digest, levels digest) of arc_records(s, n): the first
+# 16 hex digits of the sha256 of each array's bytes, taken before the arcs
+# came from ordered layers
+FROZEN_ARCS = {
+    (1.5, 1): (2, "c007d180acbbc5f8", "9d34149fbd1fe777"),
+    (1.5, 2): (4, "6f9ae6c307dbe820", "4cea01406733b6dd"),
+    (1.5, 5): (19, "ffe3cddd6dcc8c56", "5df2d03ba721053a"),
+    (1.5, 12): (379, "6d9ebb4c41ee5b8d", "ecfa8f783819a105"),
+    (1.5, 20): (9857, "5c7e412890b7b5a7", "f7258666cd79ac03"),
+    (1.8, 1): (2, "ff086fde9b989006", "9d34149fbd1fe777"),
+    (1.8, 2): (4, "a580fcfa9d5b6666", "4cea01406733b6dd"),
+    (1.8, 5): (28, "d80b5d3d821a30a6", "091ec93d03c712f9"),
+    (1.8, 12): (1847, "bdd02c8045c0c340", "877c887683c9f19e"),
+    (1.8, 20): (204045, "f3abd7f2d96c3a8f", "225493b0a87f2a32"),
+    (2.0, 1): (2, "f4350073466748fc", "9d34149fbd1fe777"),
+    (2.0, 2): (4, "4702aa4a03324690", "4cea01406733b6dd"),
+    (2.0, 5): (32, "4d5b7a7f17d3aee1", "20d21b6547dbed2d"),
+    (2.0, 12): (4096, "083d827bd3cf7274", "78a431737174a4ab"),
+    (2.0, 20): (1048576, "16ee2c05babfce2d", "8cb3f199c6ed9bbc"),
+    (GOLDEN, 1): (2, "7d0444cab365285d", "9d34149fbd1fe777"),
+    (GOLDEN, 2): (4, "775ec1b975c4884e", "4cea01406733b6dd"),
+    (GOLDEN, 5): (20, "9be16609cfda7b0f", "2de5392ca439be42"),
+    (GOLDEN, 12): (609, "fc51c70d07000d93", "66f06d405911fb98"),
+    (GOLDEN, 20): (28656, "2cfca7d04398e69f", "4d262abe9d475cd0"),
+    (PERIOD_4, 1): (2, "7d31bcb08fd474fe", "9d34149fbd1fe777"),
+    (PERIOD_4, 2): (4, "6f26827f22b1134a", "4cea01406733b6dd"),
+    (PERIOD_4, 5): (28, "e6a819c43ef4d41e", "091ec93d03c712f9"),
+    (PERIOD_4, 12): (2031, "1ff3ff2ea5359d64", "4ebbb5bc4d222f84"),
+    (PERIOD_4, 20): (266079, "97e289745d03f829", "c3a2e98ad5f7331a"),
+}
+
+
+@pytest.mark.parametrize("s,n", list(FROZEN_ARCS))
+def test_arc_is_frozen(s, n):
+    arc = arc_records(s, n)
+    assert arc.levels.dtype == np.int64
+    got = [len(arc)] + [hashlib.sha256(a.tobytes()).hexdigest()[:16] for a in (arc.positions, arc.levels)]
+    assert tuple(got) == FROZEN_ARCS[s, n]

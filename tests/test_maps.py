@@ -11,6 +11,7 @@ from ilim.maps import (
     TOL,
     QuadraticMap,
     TentMap,
+    _increasing_branches,
     backward_tree,
     critical_cycle,
     critical_orbit,
@@ -20,6 +21,7 @@ from ilim.maps import (
 )
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0  # the critical point has period 3
+PERIOD_4 = 1.839286755214161  # the critical point has period 4
 slopes = st.floats(min_value=1.0, max_value=2.0, exclude_min=True, allow_nan=False)
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -213,6 +215,61 @@ def test_backward_tree_keeps_domain_start_to_top(map_):
     for j, x in enumerate(backward_tree(map_, 8)):
         assert x.size and ((x >= lo) & (x <= hi)).all()
         assert np.allclose(forward_orbit(map_, x, j)[:, -1], map_.critical, atol=1e-9)
+
+
+def _unordered_tree(map_, depth):
+    """Oracle: the tree as it was built before its layers were ordered, each
+    layer filtered by masks in the order ``branches`` gives."""
+    lo, hi = map_.domain[0], map_.top
+    cycle = critical_cycle(map_, depth + 1)
+    x = np.array([map_.critical])
+    layers = [x]
+    for j in range(1, depth + 1):
+        x = map_.branches(x[x < hi])
+        if j < len(cycle):
+            x[np.argmin(np.abs(x - cycle[-1 - j]))] = cycle[-1 - j]
+        x = x[(x >= lo) & (x <= hi)]
+        layers.append(x)
+    return layers
+
+
+# at slopes GOLDEN and PERIOD_4, and at the superstable quadratic parameters of
+# periods 3, 4 and 8, c is periodic and the tree snaps its layers to c's orbit
+TREE_MAPS = [
+    (TentMap(1.5), 20),
+    (TentMap(1.8), 16),
+    (TentMap(2.0), 14),
+    (TentMap(GOLDEN), 20),
+    (TentMap(PERIOD_4), 16),
+    (QuadraticMap(1.401155), 16),
+    (QuadraticMap(1.7548776662466927), 16),
+    (QuadraticMap(1.3107026413368328), 16),
+    (QuadraticMap(1.9407998065294845), 14),
+    (QuadraticMap(1.9997740486937274), 14),
+    (QuadraticMap(2.0), 14),
+]
+
+
+@pytest.mark.parametrize("map_,depth", TREE_MAPS)
+def test_backward_tree_layers_increase(map_, depth):
+    for x in backward_tree(map_, depth):
+        assert (np.diff(x) > 0).all()
+
+
+@pytest.mark.parametrize("map_,depth", TREE_MAPS)
+def test_backward_tree_layers_are_the_unordered_layers_sorted(map_, depth):
+    got = [x.tobytes() for x in backward_tree(map_, depth)]
+    assert got == [np.sort(x).tobytes() for x in _unordered_tree(map_, depth)]
+
+
+@pytest.mark.parametrize("map_", [TentMap(1.7), TentMap(2.0), QuadraticMap(1.5)])
+def test_increasing_branches_reverse_the_right_branch(map_):
+    y = np.sort(forward_orbit(map_, np.linspace(*map_.domain, 9), 3)[:, -1])
+    got = _increasing_branches(map_, y)
+    left, right = np.split(map_.branches(y), 2)
+    assert got.tobytes() == np.concatenate([left, right[::-1]]).tobytes()
+    assert (np.diff(got) >= 0).all()
+    assert _increasing_branches(map_, np.empty(0)).shape == (0,)
 
 
 def test_full_tent_pieces_share_one_image():
