@@ -19,21 +19,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DepthError, DomainError, charge
-from .inverse_limit import BackwardPoint, arc_records, projection, salient_positions
+from .inverse_limit import BackwardPoint, _levels, arc_records, projection
 from .maps import MATCH_TOL, TOL, TentMap, _increasing_branches, backward_tree, forward_orbit
 
 
 @dataclass(frozen=True, eq=False)
 class IntervalChain:
     """Sorted breakpoints 0 = b_0 < ... < b_m = top at pullback level p, kept
-    as a read-only float64 array.  At least two finite breakpoints in
-    non-decreasing order, or DomainError."""
+    as a read-only float64 array.  A tent slope in (1, 2], a level p >= 0 and
+    at least two finite breakpoints in non-decreasing order, or DomainError."""
 
     slope: float
     index: int
     breakpoints: np.ndarray
 
     def __post_init__(self) -> None:
+        TentMap(self.slope)  # refuses a slope outside (1, 2], NaN included
+        if not self.index >= 0:
+            raise DomainError(f"chain level must be nonnegative, got {self.index}")
         b = np.array(self.breakpoints, dtype=float)
         # finite ends and no decreasing step (a NaN fails the step test) make
         # every breakpoint finite, in one pass over the array
@@ -143,6 +146,12 @@ def limit_mesh(chain: IntervalChain) -> float:
     return limit_diameter(chain, 0.0, chain.mesh)
 
 
+def _links(chain: IntervalChain, x) -> np.ndarray:
+    """The link rule of ``link_of`` on the values x; a value off the chain
+    goes to the nearer end link."""
+    return np.clip(np.searchsorted(chain.breakpoints, x, side="right") - 1, 0, chain.n_links - 1)
+
+
 def link_of(chain: IntervalChain, x: BackwardPoint) -> int:
     """Index of the half-open link [b_j, b_{j+1}) containing the depth-p
     coordinate of x; the final link is closed on the right."""
@@ -150,8 +159,7 @@ def link_of(chain: IntervalChain, x: BackwardPoint) -> int:
         raise DepthError(f"chain level {chain.index} exceeds point depth {x.depth}")
     if x.slope != chain.slope:
         raise DomainError("point and chain live over different slopes")
-    j = int(np.searchsorted(chain.breakpoints, projection(x, chain.index), side="right")) - 1
-    return min(max(j, 0), chain.n_links - 1)
+    return int(_links(chain, projection(x, chain.index)))
 
 
 def refines(fine: IntervalChain, coarse: IntervalChain) -> bool:
@@ -225,38 +233,28 @@ def verify_plevel_alignment(s: float, q: int, p: int, R: int, n: int) -> Alignme
     link of any level-p chain.
 
     The check reads one orbit matrix: row i holds the images 0..q+n+R of
-    record i's position, its coordinates after R shifts.  Column q+n+R-p is
-    the depth-p coordinate, and the level is the distance back from it to the
-    latest column within MATCH_TOL of the critical point.
+    record i's position, its coordinates after R shifts.  Column q+n+R-p = n+M
+    is the depth-p coordinate, read at the level of ``p_level``.  The salient
+    point of level l + M on arc n + M is c/s**(n-l), the arc's own first record
+    of level l (see the ``inverse_limit`` docstring), so its row is the reference.
     """
     if not (q >= p >= 0):
         raise DomainError("need q >= p >= 0")
     if R < 0 or n < 1:
         raise DomainError("need R >= 0 and n >= 1")
     M = R + q - p
-    tent = TentMap(s)
     arc = arc_records(s, n)
     reference = build_chain(s, p, eps=0.05)
-    salients = salient_positions(s, n + M)
     target = arc.levels + M
-    col = q + n + R - p
-    orbit = forward_orbit(tent, arc.positions, q + n + R)
-    value = orbit[:, col]
-    dist = orbit[:, col::-1] - tent.critical
-    hits = np.abs(dist, out=dist) <= MATCH_TOL
-    del dist  # as large as the orbit matrix; freed before the link lookups
-    found = hits.any(axis=1)
-    level = np.argmax(hits, axis=1)
-    # the all-zeros point has level inf
-    all_zero = (orbit.max(axis=1) <= MATCH_TOL) & (orbit.min(axis=1) >= -MATCH_TOL)
+    orbit = forward_orbit(TentMap(s), arc.positions, q + n + R)
+    value = orbit[:, n + M]
+    level, found, all_zero = _levels(orbit, n + M)
     level_ok = found & ~all_zero & (level == target)
-    # reference of each target level: the critical point at level 0, else the
-    # depth-p coordinate of that level's salient point
-    ref = np.concatenate([[tent.critical], forward_orbit(tent, salients, n + M)[:, -1]])
-    links = np.searchsorted(reference.breakpoints, np.concatenate([value, ref]), side="right")
-    link, ref_link = np.split(np.clip(links - 1, 0, reference.n_links - 1), [value.size])
-    same_link = (target == 0) | (link == ref_link[target])
-    passed = level_ok & ((np.abs(value - ref[target]) <= MATCH_TOL) | same_link)
+    # row of each record's salient point: the first record of its level
+    salient = np.unique(arc.levels, return_index=True)[1][arc.levels]
+    link = _links(reference, value)
+    same_link = (target == 0) | (link == link[salient])
+    passed = level_ok & ((np.abs(value - value[salient]) <= MATCH_TOL) | same_link)
     failures = []
     for i in np.flatnonzero(~passed).tolist():
         if not level_ok[i]:
@@ -268,7 +266,7 @@ def verify_plevel_alignment(s: float, q: int, p: int, R: int, n: int) -> Alignme
         else:
             failures.append(
                 f"position {arc.positions[i]:.12g}: depth-{p} coordinate {value[i]:.12g} "
-                f"vs salient {ref[target[i]]:.12g}"
+                f"vs salient {value[salient[i]]:.12g}"
             )
     return AlignmentReport(
         slope=s, q=q, p=p, R=R, n=n, M=M,

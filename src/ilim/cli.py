@@ -27,11 +27,12 @@ from .maps import MATCH_TOL, TOL, QuadraticMap, TentMap
 
 SCHEMA = "ilim/1"
 
-_CYCLE_TOL = {"critical_period": TOL}  # backward trees, lap pieces, salient points
+_CYCLE_TOL = {"critical_period": TOL}  # c seen within TOL: by trees, piece walks, salients
 _TOWER_TOL = {"tower_slack": renorm._TOWER_SLACK}  # every command that checks a tower
+_FIT_TOL = {"fit_residual_per_point": bowen._FIT_RESIDUAL}  # both commands that fit curves
 
 
-class _ArgError(Exception):
+class _ArgError(ValueError):
     pass
 
 
@@ -99,7 +100,7 @@ def _entropy_bowen(args):
     _, curves, as_json, rows = _separation(args)
     est = bowen.estimate_from_curves(curves)
     out = {"value": est.value, "n_used": est.n_used, "residual": est.residual, "curves": as_json}
-    return out, {"fit_residual_per_point": bowen._FIT_RESIDUAL}, rows
+    return out, _FIT_TOL, rows
 
 
 def _slope_of_quadratic(args):
@@ -148,7 +149,7 @@ def _plevel_align(args):
 
 def _separated(args):
     cloud, _, as_json, rows = _separation(args)
-    return {"cloud_size": len(cloud), "curves": as_json}, {}, rows
+    return {"cloud_size": len(cloud), "curves": as_json}, _FIT_TOL, rows
 
 
 def _renorm_detect(args):
@@ -260,13 +261,10 @@ def main(argv=None) -> int:
     try:
         args = _parser(name).parse_args(rest)
         outputs, tolerances, rows = COMMANDS[name][0](args)
-    except _ArgError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError) as exc:  # domain/depth/tower/partition errors
+    except (ValueError, KeyError) as exc:  # arguments, domain/depth/tower/partition errors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     inputs = {k: v for k, v in vars(args).items() if k != "format"}

@@ -121,22 +121,29 @@ def projection(x: BackwardPoint, k: int) -> float:
     return x.coords[x.depth - k]
 
 
+def _levels(orbit: np.ndarray, col: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The level rule on each row of an orbit matrix, oldest coordinate first:
+    the distance back from column ``col`` to the latest coordinate within
+    MATCH_TOL of the critical point, whether there is one, and whether the
+    row is all zeros (the zeros point has level inf)."""
+    dist = orbit[:, col::-1] - TentMap.critical
+    hits = np.abs(dist, out=dist) <= MATCH_TOL
+    all_zero = (orbit.max(axis=1) <= MATCH_TOL) & (orbit.min(axis=1) >= -MATCH_TOL)
+    return np.argmax(hits, axis=1), hits.any(axis=1), all_zero
+
+
 def p_level(x: BackwardPoint, p: int):
-    """Smallest l >= 0 such that the coordinate p+l steps back is critical, to MATCH_TOL.
+    """Smallest l >= 0 such that the coordinate p+l steps back is critical, to
+    MATCH_TOL: the level of ``_levels``, which the alignment check reads too.
 
     Returns math.inf for the all-zeros point, None when no recorded
     coordinate matches.  Points whose history hits the critical point are
     the fold points of their ray at reference depth p.
     """
-    if p > x.depth:
-        raise DepthError(f"reference depth {p} exceeds point depth {x.depth}")
-    if all(abs(c) <= MATCH_TOL for c in x.coords):
-        return math.inf
-    crit = TentMap(x.slope).critical
-    for l in range(x.depth - p + 1):
-        if abs(projection(x, p + l) - crit) <= MATCH_TOL:
-            return l
-    return None
+    if not 0 <= p <= x.depth:
+        raise DepthError(f"reference depth {p} outside 0..{x.depth}")
+    level, found, all_zero = _levels(np.array([x.coords]), x.depth - p)
+    return math.inf if all_zero[0] else int(level[0]) if found[0] else None
 
 
 @dataclass(frozen=True)

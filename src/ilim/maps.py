@@ -11,6 +11,8 @@ critical point 0.  Both expose the same small protocol (``critical``,
 Other modules read their orbits from three kernels: ``backward_tree`` (the
 critical point's preimages, where node positions are needed), ``forward_orbit``
 (many points, many steps) and ``lap_pieces`` (piece images, for lap numbers).
+Only the tree and the salient points read the period of c (``critical_cycle``),
+to snap nodes onto c's orbit; the piece walk sees c in its own images.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError, charge
 
-#: two floats this close are one point (the period of c is read with it);
+#: two floats this close are one point (c's period and piece images on c);
 #: TOL and MATCH_TOL are the float decisions that several modules share
 TOL = 1e-12
 #: a computed point this close to the point it stands for matches it
@@ -219,21 +221,19 @@ def lap_pieces(map_: UnimodalMap, lo: float, hi: float, steps: int) -> Iterator[
     share it, so lap(f^k) is the sum of the counts.  A step cuts each image at
     c when c lies strictly inside it; f is monotone on each half, which maps to
     the hull of its end images under the scalar ``map_(x)`` (J. Milnor and W.
-    Thurston, LNM 1342, 1988).  At a periodic c (see ``critical_cycle``) the
-    orbit point before c maps to c exactly, so images ending there are not cut
-    again by rounding.  Each step is charged before it is built: its images
-    and the 64-bit words of their counts.
+    Thurston, LNM 1342, 1988).  An end image within TOL of c is c, so at a
+    periodic c the images that end there are not cut again by rounding; no
+    period is searched for.  Each step is charged before it is built: its
+    images and the 64-bit words of their counts.
     """
     if steps < 0:
         raise DomainError("iterate count must be nonnegative")
     c = map_.critical
-    cycle = critical_cycle(map_, max(steps, 1) + 1)
-    before_c = cycle[-2] if len(cycle) > 1 else None
     pieces = {(lo, hi): 1}
     used = 0
     for _ in range(steps):
         used = charge(sum(2 * (2 + (n.bit_length() >> 6)) for n in pieces.values()), used)
-        ends = {x: c if x == before_c else map_(x) for x in {c}.union(*pieces)}
+        ends = {x: c if abs((y := map_(x)) - c) <= TOL else y for x in {c}.union(*pieces)}
         nxt: dict[tuple[float, float], int] = {}
         for (a, b), n in pieces.items():
             for u, v in ((a, c), (c, b)) if a < c < b else ((a, b),):

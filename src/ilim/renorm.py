@@ -258,20 +258,13 @@ class BlockModel:
     level: int = 0
 
     def orbit_partition(self) -> tuple[tuple[int, ...], ...]:
+        """Orbits of k -> k + R on the residues mod len(powers): the classes
+        mod gcd(R, len(powers)), each listed from its smallest member."""
         p_rel = len(self.powers)
-        seen = [False] * p_rel
-        orbits = []
-        for start in range(p_rel):
-            if seen[start]:
-                continue
-            orb = []
-            k = start
-            while not seen[k]:
-                seen[k] = True
-                orb.append(k)
-                k = (k + self.R) % p_rel
-            orbits.append(tuple(orb))
-        return tuple(orbits)
+        if not p_rel:
+            return ()
+        g = math.gcd(self.R, p_rel)
+        return tuple(tuple((s + k * self.R) % p_rel for k in range(p_rel // g)) for s in range(g))
 
 
 def block_model_entropy(tower: RenormTower, model: BlockModel) -> float:

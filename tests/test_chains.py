@@ -28,7 +28,7 @@ from ilim.inverse_limit import (
     salient_positions,
     shift,
 )
-from ilim.maps import MATCH_TOL, TentMap
+from ilim.maps import MATCH_TOL, TentMap, forward_orbit
 
 SLOPES = [1.6, 1.8, 2.0]
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0  # the critical point has period 3
@@ -139,6 +139,18 @@ def test_chain_refuses_a_decreasing_step():
 def test_chain_refuses_fewer_than_two_breakpoints(breaks):
     with pytest.raises(DomainError, match="at least two"):
         IntervalChain(1.8, 0, breaks)
+
+
+def test_chain_refuses_a_negative_level():
+    # limit_mesh read 1.8 here: an empty coefficient sum and a tail of 2 * s/2
+    with pytest.raises(DomainError, match="level"):
+        IntervalChain(1.8, -1, (0.0, 0.9))
+
+
+@pytest.mark.parametrize("s", [math.nan, 1.0, 2.5])
+def test_chain_refuses_a_slope_outside_the_tent_family(s):
+    with pytest.raises(DomainError, match="slope"):
+        IntervalChain(s, 2, (0.0, 0.9))
 
 
 def test_limit_diameter_monotone_in_width():
@@ -401,6 +413,58 @@ def test_alignment_report_is_frozen(args):
     rep = verify_plevel_alignment(*args)
     failures = hashlib.sha256("\n".join(rep.failures).encode()).hexdigest()[:16]
     assert (rep.M, rep.checks, rep.passed, failures) == FROZEN_ALIGNMENTS[args]
+
+
+def _salient_alignment(s, q, p, R, n):
+    """Oracle: the alignment as it was when it took its references from
+    ``salient_positions(s, n + M)``, iterated n + M steps in a second orbit."""
+    M = R + q - p
+    tent = TentMap(s)
+    arc = arc_records(s, n)
+    reference = build_chain(s, p, eps=0.05)
+    target = arc.levels + M
+    orbit = forward_orbit(tent, arc.positions, q + n + R)
+    value = orbit[:, q + n + R - p]
+    hits = np.abs(orbit[:, q + n + R - p :: -1] - tent.critical) <= MATCH_TOL
+    found, level = hits.any(axis=1), np.argmax(hits, axis=1)
+    all_zero = (orbit.max(axis=1) <= MATCH_TOL) & (orbit.min(axis=1) >= -MATCH_TOL)
+    level_ok = found & ~all_zero & (level == target)
+    salients = salient_positions(s, n + M)
+    ref = np.concatenate([[tent.critical], forward_orbit(tent, salients, n + M)[:, -1]])
+    links = np.searchsorted(reference.breakpoints, np.concatenate([value, ref]), side="right")
+    link, ref_link = np.split(np.clip(links - 1, 0, reference.n_links - 1), [value.size])
+    same_link = (target == 0) | (link == ref_link[target])
+    passed = level_ok & ((np.abs(value - ref[target]) <= MATCH_TOL) | same_link)
+    failures = []
+    for i in np.flatnonzero(~passed).tolist():
+        if not level_ok[i]:
+            lv = math.inf if all_zero[i] else int(level[i]) if found[i] else None
+            failures.append(
+                f"position {arc.positions[i]:.12g}: level {lv} after {R} shifts, "
+                f"expected {int(target[i])}"
+            )
+        else:
+            failures.append(
+                f"position {arc.positions[i]:.12g}: depth-{p} coordinate {value[i]:.12g} "
+                f"vs salient {ref[target[i]]:.12g}"
+            )
+    return AlignmentReport(s, q, p, R, n, M, len(arc), int(passed.sum()), tuple(failures))
+
+
+SHAPES = [(0, 0, 0), (1, 0, 0), (2, 1, 0), (3, 1, 0), (3, 3, 1), (4, 2, 1), (5, 3, 2), (6, 3, 1)]
+
+
+@pytest.mark.parametrize(
+    "s", [1.3, 1.5, GOLDEN, 1.7548776662466927, 1.8, PERIOD_4, 1.9275619754829254, 2.0]
+)
+def test_alignment_is_the_salient_based_alignment(s):
+    # the frozen reports, and shapes with M from 0 to 4.  At the period-4 and
+    # period-5 slopes some small n take references a few ulps off the old ones
+    # (see test_first_record_of_each_level_is_its_salient_point); no report moves
+    cases = [args for args in FROZEN_ALIGNMENTS if args[0] == s]
+    cases += [(s, q, p, R, n) for q, p, R in SHAPES for n in (1, 2, 3, 8)]
+    for args in cases:
+        assert repr(verify_plevel_alignment(*args)) == repr(_salient_alignment(*args)), args
 
 
 def test_alignment_rejects_bad_shape():

@@ -133,6 +133,17 @@ def test_readme_examples_parse():
         cli._parser(name).parse_args(rest.split())
 
 
+def test_readme_examples_run(capsys):
+    # every command line of the README answers, and its json parses
+    examples = re.findall(r"^(?:\$ )?ilim (.*)$", README, re.M)
+    assert len(examples) >= 17
+    for line in examples:
+        code, out, err = run(capsys, *line.split())
+        assert code == 0, (line, err)
+        if "--format" not in line or "--format json" in line:
+            assert json.loads(out)["command"] == line.split()[0], line
+
+
 # ---------------------------------------------------------------------------
 # per-command outputs
 
@@ -244,6 +255,15 @@ def test_readme_separated_example_is_frozen(capsys):
         "0.015625,5,2009,7.605392364814935\n"
         "0.015625,6,3984,8.290041618704489\n"
     )
+
+
+@pytest.mark.parametrize("name", ["entropy-bowen", "separated"])
+def test_bowen_commands_name_their_fit_tolerance(capsys, name):
+    # both report fitted estimates, so both name the residual bound of the fit
+    report = run_json(capsys, name, "--slope", "1.9", "--R", "1", "--depth", "8",
+                      "--seeds", "32", "--eps", "0.125,0.0625", "--n-max", "5")
+    assert all("estimate" in curve for curve in report["outputs"]["curves"])
+    assert report["tolerances"] == {"fit_residual_per_point": bowen._FIT_RESIDUAL}
 
 
 def test_entropy_bowen_identity_power_is_zero(capsys):

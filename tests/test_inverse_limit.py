@@ -32,7 +32,7 @@ from ilim.inverse_limit import (
     unshift,
     validate,
 )
-from ilim.maps import TentMap
+from ilim.maps import TentMap, critical_cycle
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0  # the critical point has period 3
 PERIOD_4 = 1.839286755214161  # the critical point has period 4
@@ -337,6 +337,21 @@ def test_closed_form_salient_points_match_the_scan(s, n):
     assert [x.hex() for x in salient_positions(s, n)] == [
         x.hex() for x in _salient_by_scan(s, n)
     ]
+
+
+@pytest.mark.parametrize("s", [*REFERENCE_SLOPES, 1.9275619754829254])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 14])
+def test_first_record_of_each_level_is_its_salient_point(s, n):
+    # the alignment check reads its references here.  Where c has period P
+    # with n + 1 < P, arc n's tree has not snapped the salient points onto
+    # c's orbit, so they differ from those of a longer arc by a few ulps
+    arc = arc_records(s, n)
+    levels, first = np.unique(arc.levels, return_index=True)
+    assert levels.tolist() == list(range(n + 1))
+    longer = salient_positions(s, n + 5)[4:]
+    assert np.allclose(arc.positions[first], longer, rtol=0.0, atol=1e-15)
+    if not 1 + n < len(critical_cycle(TentMap(s), n + 6)):
+        assert arc.positions[first].tobytes() == np.array(longer).tobytes()
 
 
 def test_closed_form_salient_points_carry_the_tree_snap():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ilim.errors import DomainError, ResourceCapError
+from ilim.lap_entropy import lap_table
 from ilim.maps import (
     TOL,
     QuadraticMap,
@@ -19,6 +20,7 @@ from ilim.maps import (
     itinerary,
     lap_pieces,
 )
+from ilim.renorm import detect_renormalization
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0  # the critical point has period 3
 PERIOD_4 = 1.839286755214161  # the critical point has period 4
@@ -327,3 +329,68 @@ def test_lap_pieces_are_charged_to_the_node_budget(monkeypatch):
         list(lap_pieces(TentMap(1.8), 0.0, 1.0, 20))
     with pytest.raises(DomainError):
         list(lap_pieces(TentMap(1.8), 0.0, 1.0, -1))
+
+
+def _period_lap_pieces(map_, lo, hi, steps):
+    """Oracle: the piece walk as it was when it searched for the period of c
+    first and sent the orbit point before c onto c."""
+    c = map_.critical
+    cycle = critical_cycle(map_, max(steps, 1) + 1)
+    before_c = cycle[-2] if len(cycle) > 1 else None
+    pieces = {(lo, hi): 1}
+    for _ in range(steps):
+        ends = {x: c if x == before_c else map_(x) for x in {c}.union(*pieces)}
+        nxt = {}
+        for (a, b), n in pieces.items():
+            for u, v in ((a, c), (c, b)) if a < c < b else ((a, b),):
+                fu, fv = ends[u], ends[v]
+                key = (fu, fv) if fu <= fv else (fv, fu)
+                nxt[key] = nxt.get(key, 0) + n
+        pieces = nxt
+        yield pieces
+
+
+def _hex_steps(walk):
+    """Every step of a piece walk, in order, with its floats as hex."""
+    return [[(a.hex(), b.hex(), n) for (a, b), n in step.items()] for step in walk]
+
+
+# c has period 3, 4, 5, 7, 7 and 14 at these tent slopes, and period 3, 4, 4,
+# 5 and 8 at these quadratic parameters; 1.401155, a* and 2.0 are not periodic
+PERIODIC_MAPS = [
+    TentMap(GOLDEN),
+    TentMap(PERIOD_4),
+    TentMap(1.9275619754829254),
+    TentMap(1.4655712318767682),
+    TentMap(1.7548776662466927),
+    TentMap(1.324717957244746),
+    QuadraticMap(1.7548776662466927),
+    QuadraticMap(1.3107026413368328),
+    QuadraticMap(1.9407998065294845),
+    QuadraticMap(1.6254137251233036),
+    QuadraticMap(1.9997740486937274),
+    QuadraticMap(1.401155),
+    QuadraticMap(1.5436890126920764),
+    QuadraticMap(2.0),
+]
+
+
+@pytest.mark.parametrize("map_", PERIODIC_MAPS)
+def test_piece_walk_is_the_period_based_walk(map_):
+    lo, hi = map_.domain
+    got = _hex_steps(lap_pieces(map_, lo, hi, 200))
+    assert got == _hex_steps(_period_lap_pieces(map_, lo, hi, 200))
+
+
+def test_piece_walk_searches_for_no_period(monkeypatch):
+    # the walk sees c in its own images, so it never calls critical_cycle
+    maps = [TentMap(GOLDEN), TentMap(1.8), QuadraticMap(1.9997740486937274)]
+    want = [tuple(sum(p.values()) for p in _period_lap_pieces(m, *m.domain, 40)) for m in maps]
+
+    def refuse(*args):
+        raise AssertionError("critical_cycle called")
+
+    monkeypatch.setattr("ilim.maps.critical_cycle", refuse)
+    assert [lap_table(m, 40).counts for m in maps] == want
+    tower = detect_renormalization(1.5436890126920764, 2)
+    assert tower.periods == (1, 2)

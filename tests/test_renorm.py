@@ -21,8 +21,10 @@ from ilim import (
     entropy_spectrum,
     spectrum_membership,
 )
-from ilim.maps import QuadraticMap, backward_tree, forward_orbit
+from ilim import renorm
+from ilim.maps import QuadraticMap, backward_tree, forward_orbit, lap_pieces
 from ilim.renorm import _restrictive_bound, _return_map_laps
+from test_maps import _hex_steps, _period_lap_pieces
 
 LOG2 = math.log(2.0)
 A_STAR = 1.5436890126920764  # smallest parameter whose square is full-height
@@ -361,6 +363,25 @@ def test_tower_grid_is_frozen(monkeypatch):
         ), a
 
 
+def test_tower_walks_are_the_period_based_walks(monkeypatch):
+    # every [-z, z] walk of the frozen grid, step by step against the walk
+    # that searched for the period of c first
+    monkeypatch.setenv("ILIM_MAX_NODES", "20000000")
+    walks = []
+
+    def both(map_, lo, hi, steps):
+        walks.append(lo)
+        want = _hex_steps(_period_lap_pieces(map_, lo, hi, steps))
+        got = list(lap_pieces(map_, lo, hi, steps))
+        assert _hex_steps(got) == want
+        return iter(got)
+
+    monkeypatch.setattr(renorm, "lap_pieces", both)
+    for a in TOWER_GRID:
+        detect_renormalization(a, 16 if a < 1.8 else 8)
+    assert len(walks) == sum(len(periods) - 1 for periods, _, _ in TOWER_GRID.values())
+
+
 def test_renorm_detect_at_a_deep_period_stays_small():
     # the return map's laps, not the whole tree to depth 8 * 11, set the cost.
     # The child reads its peak from VmHWM: Linux carries ru_maxrss across
@@ -468,6 +489,29 @@ def test_orbit_partition_of_coprime_rotation_is_one_cycle():
 def test_orbit_partition_splits_by_common_divisor():
     assert BlockModel(R=2, powers=(0, 0)).orbit_partition() == ((0,), (1,))
     assert BlockModel(R=2, powers=(0, 0, 0, 0)).orbit_partition() == ((0, 2), (1, 3))
+
+
+def _seen_flag_orbits(R, p_rel):
+    """Oracle: the orbits of k -> k + R mod p_rel, walked with seen flags."""
+    seen = [False] * p_rel
+    orbits = []
+    for start in range(p_rel):
+        orb, k = [], start
+        while not seen[k]:
+            seen[k] = True
+            orb.append(k)
+            k = (k + R) % p_rel
+        if orb:
+            orbits.append(tuple(orb))
+    return tuple(orbits)
+
+
+def test_orbit_partition_is_the_seen_flag_walk():
+    for R in range(-25, 26):
+        for p_rel in range(13):
+            got = BlockModel(R=R, powers=(0,) * p_rel).orbit_partition()
+            assert got == _seen_flag_orbits(R, p_rel), (R, p_rel)
+    assert BlockModel(R=3, powers=()).orbit_partition() == ()
 
 
 def test_block_model_entropy_takes_the_best_orbit():
