@@ -20,7 +20,7 @@ from __future__ import annotations
 import bisect
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -213,8 +213,8 @@ class SeparationCurve:
     eps: float
     counts: tuple[tuple[int, int], ...]  # (n, separated count)
     estimate: float
-    window: tuple[int, int] = field(default=(0, 0))
-    residual: float = 0.0
+    window: tuple[int, int]
+    residual: float
 
 
 def _fit_growth(counts: list[int]) -> tuple[float, tuple[int, int], float, bool]:
@@ -246,9 +246,7 @@ def _fit_growth(counts: list[int]) -> tuple[float, tuple[int, int], float, bool]
                 best = cand
             if j == i + 3 and (fallback is None or res < fallback[4]):
                 fallback = cand
-    chosen = best or fallback
-    if chosen is None:
-        return 0.0, (1, len(counts)), 0.0, True
+    chosen = best or fallback  # counts has at least 4 points, so a fallback exists
     return chosen[2], chosen[3], chosen[4], best is None
 
 

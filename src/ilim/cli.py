@@ -144,7 +144,7 @@ def _chain_verify(args):
 def _plevel_align(args):
     report = chains.verify_plevel_alignment(args.slope, args.q, args.p, args.R, args.n)
     out = {**asdict(report), "all_pass": report.all_pass}
-    return out, {"match": MATCH_TOL, "edge": TOL, **_CYCLE_TOL}, None
+    return out, {"match": MATCH_TOL, **_CYCLE_TOL}, None
 
 
 def _separated(args):

@@ -76,8 +76,8 @@ def validate(pt: BackwardPoint) -> bool:
 
 
 def truncate(pt: BackwardPoint, depth: int) -> BackwardPoint:
-    """Forget history beyond ``depth`` steps back."""
-    if depth > pt.depth:
+    """Forget history beyond ``depth`` steps back; a depth in 0..pt.depth, or DepthError."""
+    if not 0 <= depth <= pt.depth:
         raise DepthError(f"cannot truncate depth-{pt.depth} point to depth {depth}")
     return BackwardPoint(pt.slope, pt.coords[pt.depth - depth :])
 

@@ -1,10 +1,12 @@
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from ilim import chains
 from ilim.chains import (
     AlignmentReport,
     IntervalChain,
@@ -28,7 +30,7 @@ from ilim.inverse_limit import (
     salient_positions,
     shift,
 )
-from ilim.maps import MATCH_TOL, TentMap, forward_orbit
+from ilim.maps import MATCH_TOL, TentMap, critical_orbit, forward_orbit
 
 SLOPES = [1.6, 1.8, 2.0]
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0  # the critical point has period 3
@@ -158,6 +160,15 @@ def test_limit_diameter_monotone_in_width():
     assert limit_diameter(ch, 0.1, 0.2) < limit_diameter(ch, 0.1, 0.4)
     # zero-width interval still carries the free-history diameter
     assert limit_diameter(ch, 0.3, 0.3) == pytest.approx(2.0**-3 * 0.9)
+
+
+@pytest.mark.parametrize(
+    "lo,hi", [(0.4, 0.1), (math.nan, 0.5), (0.0, math.nan), (0.0, math.inf), (-math.inf, 0.2)]
+)
+def test_limit_diameter_refuses_a_reversed_or_non_finite_interval(lo, hi):
+    # (0.4, 0.1) used to read -2.2956, and a NaN end nan
+    with pytest.raises(DomainError):
+        limit_diameter(build_chain(1.8, 3, 0.2), lo, hi)
 
 
 @pytest.mark.parametrize("s", SLOPES)
@@ -465,6 +476,57 @@ def test_alignment_is_the_salient_based_alignment(s):
     cases += [(s, q, p, R, n) for q, p, R in SHAPES for n in (1, 2, 3, 8)]
     for args in cases:
         assert repr(verify_plevel_alignment(*args)) == repr(_salient_alignment(*args)), args
+
+
+@pytest.mark.parametrize("s", [1.3, 1.5, 1.8, 2.0])
+@pytest.mark.parametrize("q,p,R", [(0, 0, 0), (3, 1, 0), (4, 2, 1), (6, 3, 1)])
+def test_aligned_coordinates_are_the_critical_orbit(s, q, p, R):
+    # where c is not periodic every record passes, and the depth-p coordinate
+    # of a record of level l is f^(l+M)(c)
+    n, M = 8, R + q - p
+    assert verify_plevel_alignment(s, q, p, R, n).all_pass
+    tent = TentMap(s)
+    orbit = [tent.critical, *critical_orbit(tent, n + M)]
+    for rec in arc_records(s, n):
+        image = BackwardPoint.from_deepest(s, rec.position, q + n)
+        for _ in range(R):
+            image = shift(image)
+        assert abs(projection(image, p) - orbit[rec.level + M]) <= MATCH_TOL
+
+
+@pytest.mark.parametrize("s", [1.5, GOLDEN, PERIOD_4, 2.0])
+@pytest.mark.parametrize("n", [3, 8])
+def test_alignment_counts_depend_on_the_shape_only_through_M(s, n):
+    counts = {}
+    for q in range(6):
+        for p in range(q + 1):
+            for R in range(4):
+                rep = verify_plevel_alignment(s, q, p, R, n)
+                counts.setdefault(rep.M, set()).add((rep.checks, rep.passed))
+    assert all(len(seen) == 1 for seen in counts.values()), counts
+
+
+@pytest.mark.parametrize("args,passed", [
+    ((1.8, 25, 0, 0, 4), 14), ((1.9, 23, 0, 0, 4), 14), ((1.99, 22, 0, 0, 4), 15),
+])
+def test_deep_lifts_report_the_drift_of_the_float_orbit(args, passed):
+    # s**(n+M) times the rounding of a position passes MATCH_TOL near n + M = 27:
+    # the float orbits of one level's records drift apart by about 1e-9, and
+    # each such record is reported against its salient point
+    rep = verify_plevel_alignment(*args)
+    assert (rep.checks - len(rep.failures), rep.passed) == (passed, passed)
+    for line in rep.failures:
+        value, ref = map(float, re.findall(r"coordinate (\S+) vs salient (\S+)$", line)[0])
+        assert MATCH_TOL < abs(value - ref) < 1e-8
+
+
+def test_alignment_builds_no_chain(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the alignment built a chain")
+
+    monkeypatch.setattr(chains, "build_chain", refuse)
+    for args in FROZEN_ALIGNMENTS:
+        test_alignment_report_is_frozen(args)
 
 
 def test_alignment_rejects_bad_shape():

@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import ilim
 from ilim import bowen, cli, lap_entropy, maps, renorm
 
 
@@ -214,6 +218,18 @@ def test_plevel_align_all_pass(capsys):
     assert report["outputs"]["M"] == 4
 
 
+def test_plevel_align_reads_no_chain_tolerance(capsys):
+    report = run_json(capsys, "plevel-align", "--slope", "2", "--q", "6", "--p", "3",
+                      "--R", "1", "--n", "4")
+    assert report["tolerances"] == {"match": maps.MATCH_TOL, "critical_period": maps.TOL}
+
+
+def test_spectrum_skips_a_zero_entropy_level(capsys):
+    out = run_json(capsys, "spectrum", "--periods", "1,2", "--entropies", "0.5,0",
+                   "--h-max", "1.3")["outputs"]
+    assert out["spectrum"] == [0.0, 0.5, 1.0]
+
+
 def test_plevel_align_report_in_every_format(capsys):
     argv = ("plevel-align", "--slope", "2.0", "--q", "4", "--p", "2", "--R", "1", "--n", "4")
     out = run_json(capsys, *argv)["outputs"]
@@ -393,6 +409,34 @@ def test_reported_tolerances_are_named_constants(capsys):
     for argv in SMALL_ARGVS:
         tolerances = run_json(capsys, *argv)["tolerances"]
         assert set(tolerances.values()) <= named, (argv, tolerances)
+
+
+@pytest.mark.parametrize("raw,message", [
+    ("abc", "must be an integer"), ("1.5", "must be an integer"),
+    ("0", "must be positive"), ("-3", "must be positive"),
+])
+def test_malformed_node_budget_exits_two(capsys, monkeypatch, raw, message):
+    monkeypatch.setenv("ILIM_MAX_NODES", raw)
+    code, out, err = run(capsys, "salient", "--slope", "2.0", "--n", "4")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ILIM_MAX_NODES") and message in err
+
+
+def _module_run(*argv):
+    """``python3 -m ilim`` in a child, with the package's source directory on its path."""
+    env = {**os.environ, "PYTHONPATH": str(Path(ilim.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "ilim", *argv], capture_output=True,
+                          text=True, timeout=120, env=env)
+
+
+def test_module_entry_point_exit_codes():
+    ok = _module_run("salient", "--slope", "2.0", "--n", "4")
+    assert ok.returncode == 0, ok.stderr
+    assert json.loads(ok.stdout)["command"] == "salient"
+    assert _module_run("no-such-command").returncode == 1
+    bad = _module_run("salient", "--slope", "2.0", "--n", "four")
+    assert bad.returncode == 2
+    assert (bad.stdout, bad.stderr.startswith("error:")) == ("", True)
 
 
 def test_resource_cap_exits_three(capsys, monkeypatch):

@@ -91,6 +91,20 @@ def test_metric_geometric_series():
     assert expected == pytest.approx(0.5538, abs=1e-4)
 
 
+def test_metric_across_two_depths_truncates_the_deeper_point():
+    deep, shallow = ray_point(1.8, 0.07, 12), ray_point(1.8, 0.41, 5)
+    want = metric(truncate(deep, 5), shallow)
+    assert want > 0
+    assert metric(deep, shallow) == metric(shallow, deep) == want
+
+
+@pytest.mark.parametrize("depth", [-1, -6, 8])
+def test_truncate_refuses_a_depth_outside_the_point(depth):
+    # a negative depth used to return a point with no coordinates
+    with pytest.raises(DepthError):
+        truncate(ray_point(1.8, 0.3, 7), depth)
+
+
 def test_metric_slope_mismatch():
     with pytest.raises(DomainError):
         metric(BackwardPoint.zeros(1.8, 3), BackwardPoint.zeros(2.0, 3))
@@ -205,6 +219,11 @@ def test_shift_raises_level(s, k, p, extra, bits):
 
 
 # -- arcs and folding patterns ---------------------------------------------------
+
+
+def test_arc_records_refuses_index_zero():
+    with pytest.raises(DomainError):
+        arc_records(1.8, 0)
 
 
 def test_arc_pattern_smallest_cases():

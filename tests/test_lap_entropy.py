@@ -86,6 +86,14 @@ def test_full_tent_powers_of_two():
         assert lap_table(t, n).counts[-1] == 2**n
 
 
+def test_lap_outside_the_table_is_refused():
+    table = lap_table(TentMap(1.8), 5)
+    assert table.lap(1) == 2 and table.lap(5) == table.counts[-1]
+    for n in (0, -1, 6):
+        with pytest.raises(DomainError):
+            table.lap(n)
+
+
 def test_single_fold():
     assert lap_table(TentMap(1.7), 1).counts[-1] == 2
     assert lap_table(QuadraticMap(1.7), 1).counts[-1] == 2

@@ -62,6 +62,11 @@ def test_quad_eval_values():
     assert QuadraticMap(1.5)(0.5) == 0.625
 
 
+def test_quad_eval_domain():
+    with pytest.raises(DomainError):
+        QuadraticMap(1.5)(1.5)
+
+
 def test_quad_fixed_points():
     q = QuadraticMap(2.0)
     fp = q.fixed_point_positive()
@@ -81,6 +86,16 @@ def test_itinerary_values():
     assert itinerary(TentMap(2.0), 0.5, 4) == "CRLL"
     assert itinerary(TentMap(1.8), 0.9, 1) == "R"
     assert itinerary(QuadraticMap(2.0), 0.0, 3) == "CRL"
+
+
+@pytest.mark.parametrize("map_", [TentMap(1.8), QuadraticMap(1.5)])
+def test_orbits_trees_and_itineraries_refuse_an_empty_length(map_):
+    with pytest.raises(DomainError):
+        critical_orbit(map_, 0)
+    with pytest.raises(DomainError):
+        next(backward_tree(map_, -1))
+    with pytest.raises(DomainError):
+        itinerary(map_, map_.critical, 0)
 
 
 def test_core_interval_values():
