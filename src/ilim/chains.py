@@ -230,11 +230,12 @@ def verify_plevel_alignment(s: float, q: int, p: int, R: int, n: int) -> Alignme
     the depth-p coordinate of the salient point of level l + M, to MATCH_TOL.
 
     One orbit of n + M steps, and no chain: after R shifts the depth-p
-    coordinate of record i is f^(n+M) of its position, the orbit's last column,
-    and its level is read back from there by the rule of ``p_level``.  The
-    salient point of level l + M on arc n + M is c/s**(n-l), the arc's own first
-    record of level l (see the ``inverse_limit`` docstring), so its row is the
-    reference.  Only M decides which records pass.
+    coordinate of record i is f^(n+M) of its position, the orbit's last column.
+    Its level is read back from there by the rule of ``p_level``, and the
+    coordinate itself is f^level(c), taken from c's orbit as the piece walk
+    snaps at c.  The salient point of level l + M on arc n + M is c/s**(n-l),
+    the arc's own first record of level l (see the ``inverse_limit``
+    docstring), so its row is the reference.  Only M decides which records pass.
     """
     if not (q >= p >= 0):
         raise DomainError("need q >= p >= 0")
@@ -243,11 +244,12 @@ def verify_plevel_alignment(s: float, q: int, p: int, R: int, n: int) -> Alignme
     M = R + q - p
     arc = arc_records(s, n)
     target = arc.levels + M
-    orbit = forward_orbit(TentMap(s), arc.positions, n + M)
-    value = orbit[:, -1]
-    # a record of level l reaches c at column n - l, so no row is all zeros
-    level, found, _ = _levels(orbit, n + M)
+    tent = TentMap(s)
+    level, found = _levels(forward_orbit(tent, arc.positions, n + M), n + M)
     level_ok = found & (level == target)
+    # the depth-p coordinate is f^level(c); read off c's orbit, it is free of
+    # the rounding of the position, which s**(n+M) magnifies in the row's own
+    value = forward_orbit(tent, tent.critical, n + M)[0, level]
     # row of each record's salient point: the first record of its level
     salient = np.unique(arc.levels, return_index=True)[1][arc.levels]
     passed = level_ok & (np.abs(value - value[salient]) <= MATCH_TOL)

@@ -121,15 +121,13 @@ def projection(x: BackwardPoint, k: int) -> float:
     return x.coords[x.depth - k]
 
 
-def _levels(orbit: np.ndarray, col: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _levels(orbit: np.ndarray, col: int) -> tuple[np.ndarray, np.ndarray]:
     """The level rule on each row of an orbit matrix, oldest coordinate first:
     the distance back from column ``col`` to the latest coordinate within
-    MATCH_TOL of the critical point, whether there is one, and whether the
-    row is all zeros (the zeros point has level inf)."""
+    MATCH_TOL of the critical point, and whether there is one."""
     dist = orbit[:, col::-1] - TentMap.critical
     hits = np.abs(dist, out=dist) <= MATCH_TOL
-    all_zero = (orbit.max(axis=1) <= MATCH_TOL) & (orbit.min(axis=1) >= -MATCH_TOL)
-    return np.argmax(hits, axis=1), hits.any(axis=1), all_zero
+    return np.argmax(hits, axis=1), hits.any(axis=1)
 
 
 def p_level(x: BackwardPoint, p: int):
@@ -142,8 +140,11 @@ def p_level(x: BackwardPoint, p: int):
     """
     if not 0 <= p <= x.depth:
         raise DepthError(f"reference depth {p} outside 0..{x.depth}")
-    level, found, all_zero = _levels(np.array([x.coords]), x.depth - p)
-    return math.inf if all_zero[0] else int(level[0]) if found[0] else None
+    row = np.array([x.coords])
+    if row.max() <= MATCH_TOL and row.min() >= -MATCH_TOL:
+        return math.inf  # the all-zeros point
+    level, found = _levels(row, x.depth - p)
+    return int(level[0]) if found[0] else None
 
 
 @dataclass(frozen=True)

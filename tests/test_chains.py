@@ -1,6 +1,5 @@
 import hashlib
 import math
-import re
 import tracemalloc
 
 import numpy as np
@@ -23,6 +22,7 @@ from ilim.chains import (
 )
 from ilim.errors import DepthError, DomainError, ResourceCapError
 from ilim.inverse_limit import (
+    Arc,
     BackwardPoint,
     arc_records,
     p_level,
@@ -506,18 +506,42 @@ def test_alignment_counts_depend_on_the_shape_only_through_M(s, n):
     assert all(len(seen) == 1 for seen in counts.values()), counts
 
 
-@pytest.mark.parametrize("args,passed", [
-    ((1.8, 25, 0, 0, 4), 14), ((1.9, 23, 0, 0, 4), 14), ((1.99, 22, 0, 0, 4), 15),
+@pytest.mark.parametrize("args", [
+    (1.8, 25, 0, 0, 4), (1.9, 23, 0, 0, 4), (1.99, 22, 0, 0, 4), (1.99, 20, 0, 0, 14),
 ])
-def test_deep_lifts_report_the_drift_of_the_float_orbit(args, passed):
-    # s**(n+M) times the rounding of a position passes MATCH_TOL near n + M = 27:
-    # the float orbits of one level's records drift apart by about 1e-9, and
-    # each such record is reported against its salient point
-    rep = verify_plevel_alignment(*args)
-    assert (rep.checks - len(rep.failures), rep.passed) == (passed, passed)
-    for line in rep.failures:
-        value, ref = map(float, re.findall(r"coordinate (\S+) vs salient (\S+)$", line)[0])
-        assert MATCH_TOL < abs(value - ref) < 1e-8
+def test_deep_lifts_pass(args):
+    # near n + M = 27, s**(n+M) times the rounding of a position passes
+    # MATCH_TOL, and the float orbits of one level's records drift about 1e-9
+    # apart; their coordinates come from c's orbit, so the drift fails no record
+    assert verify_plevel_alignment(*args).all_pass
+
+
+def test_a_misaligned_salient_point_fails_its_level(monkeypatch):
+    # the first record of level 1 is given a point of level 2: it fails its
+    # level test, and the other records of level 1 fail against it
+    arc = arc_records(1.5, 6)
+    positions = arc.positions.copy()
+    positions[1] = positions[3]
+    assert arc.levels[1] == 1 and arc.levels[3] == 2
+    monkeypatch.setattr(chains, "arc_records", lambda s, n: Arc(n, positions, arc.levels.copy()))
+    rep = verify_plevel_alignment(1.5, 1, 0, 0, 6)
+    others = np.flatnonzero(arc.levels == 1)[1:]
+    assert rep.passed == len(arc) - 1 - others.size
+    assert rep.failures[0] == f"position {positions[1]:.12g}: level 3 after 0 shifts, expected 2"
+    assert rep.failures[1:] == tuple(
+        f"position {positions[i]:.12g}: depth-0 coordinate 0.375 vs salient 0.5625" for i in others
+    )
+
+
+def test_alignment_charges_one_orbit_of_n_plus_M_steps(monkeypatch):
+    # its largest charge is the arc's orbit: n + M + 1 images per record
+    s, q, p, R, n = 1.8, 4, 2, 1, 8
+    need = len(arc_records(s, n)) * (n + R + q - p + 1)
+    monkeypatch.setenv("ILIM_MAX_NODES", str(need))
+    assert verify_plevel_alignment(s, q, p, R, n).all_pass
+    monkeypatch.setenv("ILIM_MAX_NODES", str(need - 1))
+    with pytest.raises(ResourceCapError):
+        verify_plevel_alignment(s, q, p, R, n)
 
 
 def test_alignment_builds_no_chain(monkeypatch):
