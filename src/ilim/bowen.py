@@ -263,11 +263,18 @@ def separation_curves(
     eps_list=DEFAULT_EPS_LIST,
     n_max: int = 10,
 ) -> list[SeparationCurve]:
-    """Separated-set counts for n = 1..n_max at each eps, with fitted growth."""
+    """Separated-set counts for n = 1..n_max at each eps, with fitted growth;
+    warns when the cloud's depth is coarse against the finest eps."""
     if n_max < 4:
         raise DomainError("n_max must be at least 4")
     eps_list = _scales(eps_list)
     _check_cloud(cloud)
+    if 2.0**-cloud.depth > min(eps_list) / 4.0:
+        warnings.warn(
+            "depth truncation is coarse against the finest eps; "
+            "counts at that scale may be unreliable",
+            stacklevel=2,
+        )
     curves = []
     used = 0  # one budget total for the whole call
     for eps in eps_list:
@@ -307,13 +314,7 @@ def entropy_bowen(
     Builds the standard cloud, fits the growth rate per eps, and returns the
     largest rate over the eps list (the small-eps supremum at desk scale).
     """
-    eps_list = _scales(eps_list)
-    if 2.0**-depth > min(eps_list) / 4.0:
-        warnings.warn(
-            "depth truncation is coarse against the finest eps; "
-            "counts at that scale may be unreliable",
-            stacklevel=2,
-        )
+    eps_list = _scales(eps_list)  # refused before the cloud is sampled
     cloud = sample_points(s, depth, per_branch_cap, n_seeds)
     curves = separation_curves(cloud, R, eps_list, n_max)
     return estimate_from_curves(curves)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DepthError, DomainError
+from .errors import DepthError, DomainError, charge
 from .maps import MATCH_TOL, TentMap, backward_tree, critical_cycle
 
 
@@ -59,7 +59,9 @@ class BackwardPoint:
 
     @classmethod
     def from_deepest(cls, slope: float, t: float, depth: int) -> "BackwardPoint":
-        """The ray point over ``t``: coordinates are the forward images of t."""
+        """The ray point over ``t``: coordinates are the forward images of t,
+        charged to the node budget before they are built."""
+        charge(depth + 1, 0)
         tent = TentMap(slope)
         coords = [t]
         for _ in range(depth):

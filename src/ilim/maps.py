@@ -248,10 +248,12 @@ def itinerary(map_: UnimodalMap, x: float, n: int) -> str:
     """Kneading symbols of ``x, f(x), ..., f^(n-1)(x)`` against the critical point.
 
     ``L`` strictly left, ``R`` strictly right, ``C`` within ``MATCH_TOL`` of
-    the critical point (the ``C`` test wins over the strict ones).
+    the critical point (the ``C`` test wins over the strict ones).  The walk
+    is charged to the node budget before it starts.
     """
     if n < 1:
         raise DomainError("itinerary length must be at least 1")
+    charge(n, 0)
     syms = []
     for _ in range(n):
         if abs(x - map_.critical) <= MATCH_TOL:

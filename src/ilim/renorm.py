@@ -7,9 +7,9 @@ and its mirror image, maps into itself under the p-th iterate while its
 first p images stay pairwise disjoint in the interior.  Its critical
 itinerary then repeats with period p away from the multiples of p.  That
 kneading test is symbolic and cheap, so it gates the search: only a period
-that passes it is tested numerically for such an interval, whose images
-are read off two forward orbits; the return map's laps then come from the
-piece images of [-z, z], read every p-th step.
+that passes it is tested numerically for such an interval.  One walk of
+the piece images of a candidate [-z, z] decides it by its first p steps,
+and gives an accepted interval's return-map laps, read every p-th step.
 
 The admissible entropy values of a tower are 0 together with all numbers
 N * (p_j / p_i) * log s_i where N is an integer at least
@@ -86,23 +86,22 @@ class RenormTower:
 
 
 def _fixed_points(quad: QuadraticMap, p: int, bound: float) -> list[float]:
-    """Fixed points of the p-th iterate in [-bound, bound], by scan + bisection."""
+    """Fixed points of the p-th iterate in [-bound, bound]: a scan, then bisection
+    until no bracket's midpoint lies strictly between its ends."""
     xs = np.linspace(-bound, bound, 4001)
     g = forward_orbit(quad, xs, p)[:, -1] - xs
     roots = [float(xs[i]) for i in np.flatnonzero(np.abs(g) <= TOL)]
     sign_change = np.flatnonzero(g[:-1] * g[1:] < 0)
-    if sign_change.size:
-        lo = xs[sign_change].copy()
-        hi = xs[sign_change + 1].copy()
-        glo = g[sign_change].copy()
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            gm = forward_orbit(quad, mid, p)[:, -1] - mid
-            same = (gm > 0) == (glo > 0)
-            lo = np.where(same, mid, lo)
-            glo = np.where(same, gm, glo)
-            hi = np.where(same, hi, mid)
-        roots.extend(float(r) for r in 0.5 * (lo + hi))
+    lo, hi, glo = xs[sign_change], xs[sign_change + 1], g[sign_change]
+    mid = 0.5 * (lo + hi)
+    while ((lo < mid) & (mid < hi)).any():
+        gm = forward_orbit(quad, mid, p)[:, -1] - mid
+        same = (gm > 0) == (glo > 0)
+        lo = np.where(same, mid, lo)
+        glo = np.where(same, gm, glo)
+        hi = np.where(same, hi, mid)
+        mid = 0.5 * (lo + hi)
+    roots.extend(mid.tolist())
     dedup: list[float] = []
     for r in sorted(roots):
         if not dedup or abs(r - dedup[-1]) > MATCH_TOL:
@@ -110,37 +109,36 @@ def _fixed_points(quad: QuadraticMap, p: int, bound: float) -> list[float]:
     return dedup
 
 
-def _images(quad: QuadraticMap, w: float, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The images f^m([-z, z]), m = 0..p, z = |w|, as (lo, hi) arrays, and the orbit of w.
+def _preserves_orientation(w: float, lo: np.ndarray, hi: np.ndarray) -> bool:
+    """Whether f^p, p = len(lo) - 1, preserves orientation at its fixed point w:
+    f'(x) has the sign of -x, and f^m(w) lies in image m, which avoids c for
+    0 < m < p once the images pass the disjointness test."""
+    p = len(lo) - 1
+    return (p + (w < 0) + np.count_nonzero(lo[1:p] + hi[1:p] < 0)) % 2 == 0
 
-    While images 1..m-1 avoid the critical point c, f^(m-1) is monotone on
-    f([-z, z]) = [f(z), f(c)], so image m is the hull of f^m(c) and f^m(w)
-    (W. de Melo and S. van Strien, One-Dimensional Dynamics, 1993, ch. VI).
-    The first image to meet c is still exact and overlaps [-z, z], so the
-    disjointness test refuses the candidate whatever later hulls read.
+
+def _restrictive_bound(quad: QuadraticMap, p: int, z_cur: float):
+    """Images f^m([-z, z]), m = 0..p, as (lo, hi) arrays, of the smallest period-p
+    restrictive interval inside [-z_cur, z_cur], and the laps of f^(p*j), j = 1..n_ret;
+    or None.  Each candidate, z = |w| for a fixed point w of f^p, is one
+    ``lap_pieces`` walk of [-z, z]: image m is the hull of its pieces at step m,
+    and only an accepted candidate's walk goes on past step p, to the laps.
     """
-    orbit = forward_orbit(quad, [quad.critical, w], p)
-    lo, hi = orbit.min(axis=0), orbit.max(axis=0)
-    lo[0], hi[0] = -abs(w), abs(w)
-    return lo, hi, orbit[1]
-
-
-def _restrictive_bound(
-    quad: QuadraticMap, p: int, z_cur: float
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Images f^m([-z, z]), m = 0..p, of the smallest period-p restrictive
-    interval inside [-z_cur, z_cur] (see ``_images``), or None."""
+    n_ret = max(5, min(12, 22 // p + 1))
     candidates = [w for w in _fixed_points(quad, p, z_cur + TOL) if abs(w) > _FIXED_POINT_FLOOR]
     for w in sorted(candidates, key=abs):
-        lo, hi, orbit = _images(quad, w, p)
-        if np.prod(-2.0 * quad.parameter * orbit[:p]) <= 0:
-            continue
-        z = hi[0]
+        z = abs(w)
+        walk = lap_pieces(quad, -z, z, p * n_ret)
+        steps = [next(walk) for _ in range(p)]
+        lo = np.array([-z, *(min(u for u, _ in s) for s in steps)])
+        hi = np.array([z, *(max(v for _, v in s) for s in steps)])
         if lo[p] < -z - MATCH_TOL or hi[p] > z + MATCH_TOL:
             continue
         overlap = np.minimum.outer(hi[:p], hi[:p]) - np.maximum.outer(lo[:p], lo[:p])
-        if not (np.triu(overlap, 1) > MATCH_TOL).any():
-            return lo, hi
+        if (np.triu(overlap, 1) > MATCH_TOL).any() or not _preserves_orientation(w, lo, hi):
+            continue
+        later = (sum(s.values()) for k, s in enumerate(walk, p + 1) if k % p == 0)
+        return lo, hi, (sum(steps[-1].values()), *later)
     return None
 
 
@@ -159,14 +157,6 @@ def _kneading_periodic(syms: str, p: int) -> bool:
     return True
 
 
-def _return_map_laps(quad: QuadraticMap, p: int, z: float) -> tuple:
-    """Lap numbers of the p-th-iterate return map on [-z, z] for its iterates
-    j = 1..n_ret: those of f^(p*j), read off ``maps.lap_pieces``."""
-    n_ret = max(5, min(12, 22 // p + 1))
-    walk = enumerate(lap_pieces(quad, -z, z, p * n_ret), 1)
-    return tuple(sum(pieces.values()) for k, pieces in walk if k % p == 0)
-
-
 def detect_renormalization(a: float, max_period: int = 16) -> RenormTower:
     """Renormalization tower of the quadratic map with parameter ``a``.
 
@@ -177,10 +167,10 @@ def detect_renormalization(a: float, max_period: int = 16) -> RenormTower:
     search interval to the new restrictive interval.  Every level's entropy
     comes from lap growth, classified by ``zero_or_rate``.  Every float
     decision is listed in ``DETECT_TOLERANCES``; the bisection that finds z
-    runs a fixed 80 steps.
+    stops once no bracket can shrink further.
     """
-    if max_period > 64:
-        raise DomainError("max_period capped at 64")
+    if not 1 <= max_period <= 64:
+        raise DomainError(f"max_period must lie in 1..64, got {max_period}")
     quad = QuadraticMap(a)
     syms = itinerary(quad, quad(quad.critical), 48)
     periods = [1]
@@ -191,15 +181,16 @@ def detect_renormalization(a: float, max_period: int = 16) -> RenormTower:
         for p in range(2 * periods[-1], max_period + 1, periods[-1]):
             if not _kneading_periodic(syms, p):
                 continue
-            images = _restrictive_bound(quad, p, z_cur)
-            if images is not None:
+            found = _restrictive_bound(quad, p, z_cur)
+            if found is not None:
                 break
             notes.append(f"period {p}: symbolic periodicity without a restrictive interval")
         else:
             break
+        _, hi, laps = found
         periods.append(p)
-        z_cur = float(images[1][0])
-        entropies.append(zero_or_rate(_return_map_laps(quad, p, z_cur), _ZERO_RATIO))
+        z_cur = float(hi[0])
+        entropies.append(zero_or_rate(laps, _ZERO_RATIO))
     return RenormTower(tuple(periods), tuple(entropies), tuple(notes))
 
 

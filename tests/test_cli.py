@@ -201,6 +201,13 @@ def test_renorm_detect_small_horizon(capsys):
     assert all(abs(h) < 0.02 for h in report["outputs"]["entropies"])
 
 
+@pytest.mark.parametrize("max_period", ["0", "-3"])
+def test_renorm_detect_refuses_a_max_period_below_one(capsys, max_period):
+    code, out, err = run(capsys, "renorm-detect", "--a", "1.3", "--max-period", max_period)
+    assert (code, out) == (2, "")
+    assert "max_period" in err
+
+
 def test_chain_verify_booleans(capsys):
     report = run_json(capsys, "chain-verify", "--slope", "1.8", "--p", "2", "--eps", "0.2")
     checks = report["outputs"]
@@ -437,6 +444,15 @@ def test_module_entry_point_exit_codes():
     bad = _module_run("salient", "--slope", "2.0", "--n", "four")
     assert bad.returncode == 2
     assert (bad.stdout, bad.stderr.startswith("error:")) == ("", True)
+
+
+def test_coarse_depth_warning_reaches_the_cli():
+    # a depth-6 cloud against eps 2^-5: the library's warning, on the command's stderr
+    for name in ("entropy-bowen", "separated"):
+        run_ = _module_run(name, "--slope", "1.8", "--R", "1", "--depth", "6", "--seeds", "64",
+                           "--n-max", "5", "--eps", "0.03125")
+        assert run_.returncode == 0, run_.stderr
+        assert "truncation" in run_.stderr
 
 
 def test_resource_cap_exits_three(capsys, monkeypatch):

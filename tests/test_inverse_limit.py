@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ilim.errors import DepthError, DomainError
+from ilim.errors import DepthError, DomainError, ResourceCapError
 from ilim.inverse_limit import (
     Arc,
     BackwardPoint,
@@ -384,6 +384,13 @@ def test_closed_form_salient_points_carry_the_tree_snap():
 @pytest.mark.parametrize("count", [1, 2, 3, 7, 12, 20])
 def test_prefix_from_one_arc_matches_the_agreement_loop(s, count):
     assert folding_pattern_prefix(s, count).entries == _prefix_by_agreement(s, count)
+
+
+def test_ray_point_is_charged_before_it_walks(monkeypatch):
+    monkeypatch.setenv("ILIM_MAX_NODES", "1000")
+    assert BackwardPoint.from_deepest(1.8, 0.3, 999).depth == 999
+    with pytest.raises(ResourceCapError):
+        BackwardPoint.from_deepest(1.8, 0.3, 10**6)
 
 
 def test_salient_points_build_no_tree(monkeypatch):

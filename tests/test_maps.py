@@ -223,6 +223,13 @@ def test_forward_orbit_is_charged_to_the_node_budget(monkeypatch):
         forward_orbit(QuadraticMap(1.5), [0.1] * 10, 10)
 
 
+def test_itinerary_is_charged_before_it_walks(monkeypatch):
+    monkeypatch.setenv("ILIM_MAX_NODES", "1000")
+    assert len(itinerary(QuadraticMap(1.9), 0.3, 1000)) == 1000
+    with pytest.raises(ResourceCapError):
+        itinerary(QuadraticMap(1.9), 0.3, 10**6)
+
+
 # -- the tree and the piece walk ----------------------------------------------
 
 

@@ -23,7 +23,7 @@ from ilim import (
 )
 from ilim import renorm
 from ilim.maps import QuadraticMap, backward_tree, forward_orbit, lap_pieces
-from ilim.renorm import _restrictive_bound, _return_map_laps
+from ilim.renorm import _restrictive_bound
 from test_maps import _hex_steps, _period_lap_pieces
 
 LOG2 = math.log(2.0)
@@ -125,6 +125,9 @@ def test_detection_is_deterministic():
 def test_detection_rejects_huge_horizons_and_bad_parameters():
     with pytest.raises(DomainError):
         detect_renormalization(1.3, max_period=128)
+    for max_period in (0, -3):
+        with pytest.raises(DomainError, match="max_period"):
+            detect_renormalization(1.3, max_period)
     with pytest.raises(DomainError):
         detect_renormalization(2.5)
 
@@ -135,21 +138,21 @@ def test_detected_towers_validate():
 
 
 def _tower_images(a, max_period):
-    """(p, lo, hi) for each level above the base: the images f^m([-z, z]), m = 0..p."""
+    """(p, lo, hi, laps) for each level above the base: the images f^m([-z, z]),
+    m = 0..p, and the return map's laps."""
     quad = QuadraticMap(a)
     z = quad.fixed_point_positive()
     out = []
     for p in detect_renormalization(a, max_period).periods[1:]:
-        lo, hi = _restrictive_bound(quad, p, z)
-        out.append((p, lo, hi))
+        lo, hi, laps = _restrictive_bound(quad, p, z)
+        out.append((p, lo, hi, laps))
         z = float(hi[0])
     return out
 
 
 def _iterate_range(quad, lo, hi, k, layers):
     """Oracle: the range of f^k over [lo, hi] from its endpoints and the
-    critical preimages of layers 0..k-1 inside it, as read before the images
-    came from two forward orbits."""
+    critical preimages of layers 0..k-1 inside it, read off the tree."""
     pts = [lo, hi]
     for j in range(min(k, len(layers))):
         inside = layers[j][(layers[j] > lo) & (layers[j] < hi)]
@@ -172,7 +175,7 @@ def _full_tree_laps(quad, p, z, n_ret):
 @pytest.mark.parametrize("a,max_period", [(A_STAR, 2), (1.3, 4), (1.401155, 8), (1.63, 5)])
 def test_orbit_images_equal_the_tree_ranges(a, max_period):
     quad = QuadraticMap(a)
-    for p, lo, hi in _tower_images(a, max_period):
+    for p, lo, hi, _ in _tower_images(a, max_period):
         layers = list(backward_tree(quad, p - 1))
         z = float(hi[0])
         assert float(lo[0]) == -z
@@ -195,9 +198,8 @@ def test_orbit_images_equal_the_tree_ranges(a, max_period):
 def test_windowed_return_map_laps_equal_the_full_tree(a, max_period, periods):
     quad = QuadraticMap(a)
     levels = _tower_images(a, max_period)
-    assert tuple(p for p, _, _ in levels) == periods
-    for p, lo, hi in levels:
-        laps = _return_map_laps(quad, p, float(hi[0]))
+    assert tuple(p for p, _, _, _ in levels) == periods
+    for p, lo, hi, laps in levels:
         assert laps == _full_tree_laps(quad, p, float(hi[0]), len(laps))
 
 
@@ -364,22 +366,157 @@ def test_tower_grid_is_frozen(monkeypatch):
 
 
 def test_tower_walks_are_the_period_based_walks(monkeypatch):
-    # every [-z, z] walk of the frozen grid, step by step against the walk
-    # that searched for the period of c first
+    # every [-z, z] walk of the frozen grid, one per candidate interval, against
+    # the walk that searched for the period of c first: each step as detection
+    # reads it, all of an accepted walk and the first p of a rejected one
     monkeypatch.setenv("ILIM_MAX_NODES", "20000000")
     walks = []
 
     def both(map_, lo, hi, steps):
-        walks.append(lo)
-        want = _hex_steps(_period_lap_pieces(map_, lo, hi, steps))
-        got = list(lap_pieces(map_, lo, hi, steps))
-        assert _hex_steps(got) == want
-        return iter(got)
+        walks.append(0)
+        oracle = _period_lap_pieces(map_, lo, hi, steps)
+        for want, got in zip(oracle, lap_pieces(map_, lo, hi, steps)):
+            assert _hex_steps([got]) == _hex_steps([want])
+            walks[-1] += 1
+            yield got
 
     monkeypatch.setattr(renorm, "lap_pieces", both)
     for a in TOWER_GRID:
         detect_renormalization(a, 16 if a < 1.8 else 8)
-    assert len(walks) == sum(len(periods) - 1 for periods, _, _ in TOWER_GRID.values())
+    assert (len(walks), sum(walks)) == (981, 14477)
+
+
+#: superstable parameters -> the period of c, at which the walk reads f^p(c) as c
+SUPERSTABLE = {
+    1.7548776662466927: 3,
+    1.9407998065294845: 4,
+    1.6254137251233036: 5,
+    1.9997740486937274: 8,
+}
+
+
+def _grid():
+    """(a, max_period) for every frozen grid parameter and every superstable one."""
+    return [*((a, 16 if a < 1.8 else 8) for a in TOWER_GRID), *((a, 16) for a in SUPERSTABLE)]
+
+
+def _two_orbit_images(quad, w, p):
+    """Oracle: the images f^m([-z, z]), m = 0..p, z = |w|, as (lo, hi) arrays,
+    each the hull of f^m(c) and f^m(w), the rule that holds while images
+    1..m-1 avoid c; detection read them so before it walked the pieces."""
+    orbit = forward_orbit(quad, [quad.critical, w], p)
+    lo, hi = orbit.min(axis=0), orbit.max(axis=0)
+    lo[0], hi[0] = -abs(w), abs(w)
+    return lo, hi
+
+
+def _bisected_fixed_points(quad, p, bound):
+    """Oracle: the fixed points of f^p in [-bound, bound], bisected a fixed 80 steps."""
+    xs = np.linspace(-bound, bound, 4001)
+    g = forward_orbit(quad, xs, p)[:, -1] - xs
+    roots = [float(xs[i]) for i in np.flatnonzero(np.abs(g) <= 1e-12)]
+    sign_change = np.flatnonzero(g[:-1] * g[1:] < 0)
+    if sign_change.size:
+        lo, hi, glo = xs[sign_change], xs[sign_change + 1], g[sign_change]
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            gm = forward_orbit(quad, mid, p)[:, -1] - mid
+            same = (gm > 0) == (glo > 0)
+            lo = np.where(same, mid, lo)
+            glo = np.where(same, gm, glo)
+            hi = np.where(same, hi, mid)
+        roots.extend(float(r) for r in 0.5 * (lo + hi))
+    dedup = []
+    for r in sorted(roots):
+        if not dedup or abs(r - dedup[-1]) > 1e-9:
+            dedup.append(r)
+    return dedup
+
+
+def test_walk_images_are_the_two_orbit_hulls(monkeypatch):
+    # every accepted level; at a superstable level the walk reads the end
+    # f^p(c) of image p as c itself, where the orbit keeps its rounding
+    monkeypatch.setenv("ILIM_MAX_NODES", "20000000")
+    levels = []
+
+    def record(quad, p, z_cur):
+        found = _restrictive_bound(quad, p, z_cur)
+        if found is not None:
+            levels.append((quad, p, *found[:2]))
+        return found
+
+    monkeypatch.setattr(renorm, "_restrictive_bound", record)
+    for a, max_period in _grid():
+        detect_renormalization(a, max_period)
+    assert len(levels) == sum(len(periods) - 1 for periods, _, _ in TOWER_GRID.values()) + 4
+    snapped = set()
+    for quad, p, lo, hi in levels:
+        # f(-z) = f(z) bit for bit, so the orbit of z stands for that of w
+        want_lo, want_hi = _two_orbit_images(quad, float(hi[0]), p)
+        assert [v.hex() for v in hi] == [v.hex() for v in want_hi], (quad, p)
+        if SUPERSTABLE.get(quad.parameter) == p:
+            assert lo[p] == quad.critical and abs(want_lo[p]) <= 1e-12
+            snapped.add(quad.parameter)
+            lo, want_lo = lo[:p], want_lo[:p]
+        assert [v.hex() for v in lo] == [v.hex() for v in want_lo], (quad, p)
+    assert snapped == set(SUPERSTABLE)
+
+
+def test_orientation_from_sides_is_the_derivative_sign(monkeypatch):
+    # every candidate that detection tests for orientation (each passed
+    # containment and disjointness), then every candidate whose images 1..p-1
+    # avoid c, orientation-reversing ones included
+    monkeypatch.setenv("ILIM_MAX_NODES", "20000000")
+    root_sets, tested = [], []
+    bisect, sides = renorm._fixed_points, renorm._preserves_orientation
+
+    def derivative_sign(quad, w, p):
+        return np.prod(-2.0 * quad.parameter * forward_orbit(quad, w, p)[0, :p]) > 0
+
+    def record(quad, p, bound):
+        root_sets.append((quad, p, bisect(quad, p, bound)))
+        return root_sets[-1][2]
+
+    def both(w, lo, hi):
+        got = sides(w, lo, hi)
+        assert got == derivative_sign(root_sets[-1][0], w, len(lo) - 1), (root_sets[-1], w)
+        tested.append(got)
+        return got
+
+    monkeypatch.setattr(renorm, "_fixed_points", record)
+    monkeypatch.setattr(renorm, "_preserves_orientation", both)
+    for a, max_period in _grid():
+        detect_renormalization(a, max_period)
+    assert len(tested) == 68
+    decided = {True: 0, False: 0}
+    for quad, p, roots in root_sets:
+        for w in (w for w in roots if abs(w) > renorm._FIXED_POINT_FLOOR):
+            steps = list(lap_pieces(quad, -abs(w), abs(w), p))
+            lo = np.array([-abs(w), *(min(u for u, _ in s) for s in steps)])
+            hi = np.array([abs(w), *(max(v for _, v in s) for s in steps)])
+            if ((lo[1:p] <= 0) & (hi[1:p] >= 0)).any():
+                continue
+            want = derivative_sign(quad, w, p)
+            assert sides(w, lo, hi) == want, (quad, p, w)
+            decided[bool(want)] += 1
+    assert decided == {True: 98, False: 50}
+
+
+def test_fixed_points_are_the_80_step_roots(monkeypatch):
+    monkeypatch.setenv("ILIM_MAX_NODES", "20000000")
+    calls = []
+    bisect = renorm._fixed_points
+
+    def both(quad, p, bound):
+        got = bisect(quad, p, bound)
+        assert [r.hex() for r in got] == [r.hex() for r in _bisected_fixed_points(quad, p, bound)]
+        calls.append(p)
+        return got
+
+    monkeypatch.setattr(renorm, "_fixed_points", both)
+    for a, max_period in _grid():
+        detect_renormalization(a, max_period)
+    assert len(calls) == 99
 
 
 def test_renorm_detect_at_a_deep_period_stays_small():
