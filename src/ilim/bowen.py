@@ -8,11 +8,15 @@ candidate pair therefore prices all time steps at once, which keeps the
 greedy separated-set scan quadratic rather than cubic.
 
 Neither stage loops over points in Python.  `sample_points` grows every
-seed's branches in one array, and `separated_count` tests rows in blocks of
-`_BLOCK` against the kept rows, with at most `_SLICE` kept rows and `_SLICE`
-distance curves held at once.  The greedy result is the one a row-at-a-time
-scan gives, bit for bit: each pair's curve is the same sequential sum over
-the same columns, compared with eps in the same way.
+seed's branches in one array.  `_greedy_counts` settles the greedy scan at
+every horizon n' <= n in one pass: it tests rows in blocks of `_BLOCK`
+against the rows kept at any n', with at most `_SLICE` kept rows and
+`_SLICE` distance curves held at once, and keeps a table of the horizons at
+which each row is kept.  `separated_count` stores the counts on the cloud,
+keyed by (R, eps), so the n_max calls of one separation curve cost one
+pass.  The greedy result is the one a row-at-a-time scan at n' gives, bit
+for bit: each pair's curve is the same sequential sum over the same columns,
+scaled by a power of two, compared with eps in the same way.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import bisect
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,11 +45,18 @@ _BLOCK = 64
 _SLICE = 512
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class PointCloud:
     slope: float
     depth: int
-    array: np.ndarray  # (N, depth+1), rows sorted lexicographically
+    array: np.ndarray  # (N, depth+1), rows sorted lexicographically; read-only
+    #: greedy counts by (R, eps), for n' = 1..len; see separated_count
+    _counts: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        array = np.array(self.array, dtype=float)  # a copy no one else can write
+        array.flags.writeable = False
+        object.__setattr__(self, "array", array)
 
     def __len__(self) -> int:
         return self.array.shape[0]
@@ -119,6 +130,11 @@ def _check_cloud(cloud: PointCloud) -> None:
         raise DomainError("the cloud has a non-finite coordinate")
 
 
+def _check_eps(eps: float) -> None:
+    if not 0 < eps < math.inf:
+        raise DomainError(f"eps must be positive and finite, got {eps}")
+
+
 def _extend_forward(cloud: PointCloud, steps: int) -> np.ndarray:
     """Cloud matrix with `steps` forward-image columns appended."""
     ahead = forward_orbit(TentMap(cloud.slope), cloud.array[:, -1], steps)
@@ -135,6 +151,91 @@ def _end_columns(depth: int, R: int, n: int) -> np.ndarray:
     return cols
 
 
+def _greedy_counts(cloud: PointCloud, R: int, n: int, eps: float) -> np.ndarray:
+    """Greedy (n', eps)-separated counts for n' = 1..n, in one pass.
+
+    A pair is held at n' when it is within eps at every time k < n'; the
+    greedy scan at n' keeps a row unless a row kept at n' before it holds it.
+    So the kept rows differ from n' to n', and the pass keeps a table of
+    them: each block of rows is tested once against the rows kept at any n',
+    and a pair's distance curve, read once, decides every n' it is held at.
+    A pair matters only from the first n' at which its earlier row is kept,
+    so only times before that are pruned by the newest-coordinate gap.  The
+    kept table and every pair compared are charged to the node budget, as
+    one total, before they are built.
+    """
+    ends = _end_columns(cloud.depth, R, n)
+    N = len(cloud)
+    used = charge(N * n, 0)  # the kept table
+    weighted = _extend_forward(cloud, int(ends.max()) - cloud.depth)
+    W = weighted.shape[1]
+    present = weighted[:, cloud.depth].copy()  # |gap| here alone decides time k=0 at weight 1
+    weighted *= np.power(2.0, np.arange(W) - (W - 1))
+    newest = weighted[:, ends].T.copy()  # row k: each point's newest coordinate at time k
+    scale = np.power(2.0, (W - 1) - ends.astype(float))
+    forward = np.flatnonzero(ends > cloud.depth)  # the times after the present
+
+    def near(rows, cands):
+        # a pair this far apart at the present coordinate is separated at k=0
+        nonlocal used
+        used = charge(rows.size * cands.size, used)
+        return np.abs(present[rows, None] - present[cands]) <= eps
+
+    def held(rows, cands, pairs, first):
+        """The (i, j) among `pairs` that rows[i] holds at some n' >= first[i],
+        with [p, n'-1] true when pair p is held at n'."""
+        i, j = np.nonzero(pairs)
+        # d_k is a prefix sum of nonnegative gaps that ends in the newest gap
+        # at time k, so a pair that gap alone parts at k < first is held at
+        # no n' >= first; forward images spread pairs apart, which prunes
+        # most pairs before any sum is taken
+        for k in forward:
+            close = (first[i] <= k) | (
+                np.abs(newest[k, rows[i]] - newest[k, cands[j]]) * scale[k] <= eps
+            )
+            i, j = i[close], j[close]
+        out = np.empty((i.size, n), dtype=bool)
+        for lo in range(0, i.size, _SLICE):
+            a, b = rows[i[lo : lo + _SLICE]], cands[j[lo : lo + _SLICE]]
+            pref = np.cumsum(np.abs(weighted[a] - weighted[b]), axis=1)
+            out[lo : lo + _SLICE] = pref[:, ends] * scale <= eps
+        out = np.logical_and.accumulate(out, axis=1)
+        some = out[np.arange(i.size), first[i] - 1]
+        return i[some], j[some], out[some]
+
+    kept = np.empty(N, dtype=np.intp)  # rows kept at some n', in scan order
+    table = np.empty((N, n), dtype=bool)  # [m, n'-1]: kept[m] is kept at n'
+    count = 0
+    for lo in range(0, N, _BLOCK):
+        free = np.arange(lo, min(lo + _BLOCK, N))
+        blocked = np.zeros((free.size, n), dtype=bool)  # [c, n'-1]: held at n'
+        # mark the block's rows that some row kept before the block holds
+        live = np.arange(free.size)
+        for klo in range(0, count, _SLICE):
+            if not live.size:
+                break
+            stop = min(klo + _SLICE, count)
+            rows, tab = kept[klo:stop], table[klo:stop]
+            first = np.argmax(tab, axis=1) + 1  # the first n' at which each row is kept
+            i, j, on = held(rows, free[live], near(rows, free[live]), first)
+            hit, t = np.nonzero(on & tab[i])
+            blocked[live[j[hit]], t] = True
+            live = live[~blocked[live].all(axis=1)]
+        # then settle the survivors against each other in scan order; a row's
+        # first n' is not known yet, but it is no earlier than its first free n'
+        low = np.argmin(blocked[live], axis=1) + 1
+        i, j, on = held(free[live], free[live], np.triu(near(free[live], free[live]), 1), low)
+        later = np.zeros((live.size, live.size, n), dtype=bool)  # [a, b]: a holds b > a
+        later[i, j] = on
+        for c in np.unique(i):  # only rows that hold a later row
+            blocked[live[c + 1 :]] |= later[c, c + 1 :] & ~blocked[live[c]]
+        new = np.flatnonzero(~blocked.all(axis=1))
+        kept[count : count + new.size] = free[new]
+        table[count : count + new.size] = ~blocked[new]
+        count += new.size
+    return table[:count].sum(axis=0)
+
+
 def separated_count(cloud: PointCloud, R: int, n: int, eps: float) -> int:
     """Greedy maximal (n, eps)-separated subset size for the R-th shift power.
 
@@ -142,70 +243,20 @@ def separated_count(cloud: PointCloud, R: int, n: int, eps: float) -> int:
     every kept point is more than eps away at some time k < n.  Negative R
     runs the inverse shift (history truncation), which needs depth >= |R|*(n-1).
 
-    The scan takes the rows in blocks.  A block's rows are first tested
-    against the rows kept before it, all at once; the survivors are then
-    settled against each other in scan order.  A pair is compared in full
-    only if it is within eps at the present coordinate and, at each later
-    time, at its newest coordinate.  A cloud with no rows, or with a
-    non-finite coordinate, is refused.
+    One pass gives the counts at every n' <= n (`_greedy_counts`).  They are
+    stored on the cloud, keyed by (R, eps), so a later call at n' no larger
+    than a stored horizon reads the table and scans nothing; the cloud's
+    array is read-only, so the table cannot go stale.  A cloud with no rows,
+    or with a non-finite coordinate, is refused.
     """
     if n < 1:
         raise DomainError("n must be at least 1")
-    if not 0 < eps < math.inf:
-        raise DomainError(f"eps must be positive and finite, got {eps}")
-    _check_cloud(cloud)
-    ends = _end_columns(cloud.depth, R, n)
-    weighted = _extend_forward(cloud, int(ends.max()) - cloud.depth)
-    N, W = weighted.shape
-    present = weighted[:, cloud.depth].copy()  # |gap| here alone decides time k=0 at weight 1
-    weighted *= np.power(2.0, np.arange(W) - (W - 1))
-    newest = weighted[:, ends].T.copy()  # row k: each point's newest coordinate at time k
-    scale = np.power(2.0, (W - 1) - ends.astype(float))
-
-    forward = np.flatnonzero(ends > cloud.depth)  # the times after the present
-
-    def near(rows, cands):
-        # a pair this far apart at the present coordinate is separated at k=0
-        return np.abs(present[rows, None] - present[cands]) <= eps
-
-    def held(rows, cands, pairs):
-        """The (i, j) among `pairs` with rows[i] within eps of cands[j] at
-        every time k < n."""
-        i, j = np.nonzero(pairs)
-        # d_k is a prefix sum of nonnegative gaps that ends in the newest gap
-        # at time k, so a pair that gap alone parts is parted; forward images
-        # spread pairs apart, which prunes most pairs before any sum is taken
-        for k in forward:
-            close = np.abs(newest[k, rows[i]] - newest[k, cands[j]]) * scale[k] <= eps
-            i, j = i[close], j[close]
-        out = np.empty(i.size, dtype=bool)
-        for lo in range(0, i.size, _SLICE):
-            a, b = rows[i[lo : lo + _SLICE]], cands[j[lo : lo + _SLICE]]
-            pref = np.cumsum(np.abs(weighted[a] - weighted[b]), axis=1)
-            out[lo : lo + _SLICE] = (pref[:, ends] * scale <= eps).all(axis=1)
-        return i[out], j[out]
-
-    kept = np.empty(N, dtype=np.intp)  # row indices, in scan order
-    count = 0
-    for lo in range(0, N, _BLOCK):
-        free = np.arange(lo, min(lo + _BLOCK, N))
-        # drop the block's rows that some row kept before the block holds
-        for klo in range(0, count, _SLICE):
-            if not free.size:
-                break
-            rows = kept[klo : min(klo + _SLICE, count)]
-            free = np.delete(free, held(rows, free, near(rows, free))[1])
-        # then settle the survivors against each other in scan order
-        later = np.zeros((free.size, free.size), dtype=bool)  # [i, j]: i holds j > i
-        later[held(free, free, np.triu(near(free, free), 1))] = True
-        alive = np.ones(free.size, dtype=bool)
-        for c in range(free.size):
-            if alive[c]:  # kept: nothing kept before it holds it
-                alive[c + 1 :] &= ~later[c, c + 1 :]
-        new = free[alive]
-        kept[count : count + new.size] = new
-        count += new.size
-    return count
+    _check_eps(eps)
+    counts = cloud._counts.get((R, eps))
+    if counts is None or counts.size < n:
+        _check_cloud(cloud)
+        counts = cloud._counts[R, eps] = _greedy_counts(cloud, R, n, eps)
+    return int(counts[n - 1])
 
 
 @dataclass(frozen=True)
@@ -264,7 +315,11 @@ def separation_curves(
     n_max: int = 10,
 ) -> list[SeparationCurve]:
     """Separated-set counts for n = 1..n_max at each eps, with fitted growth;
-    warns when the cloud's depth is coarse against the finest eps."""
+    warns when the cloud's depth is coarse against the finest eps.
+
+    The whole call is charged to the node budget, and each n checked against
+    the cloud's depth, before the first scan.  Each eps then costs one pass,
+    at n_max; the other counts are read from its table."""
     if n_max < 4:
         raise DomainError("n_max must be at least 4")
     eps_list = _scales(eps_list)
@@ -275,14 +330,18 @@ def separation_curves(
             "counts at that scale may be unreliable",
             stacklevel=2,
         )
-    curves = []
-    used = 0  # one budget total for the whole call
+    used = 0  # one budget total for the whole call, charged before any scan
     for eps in eps_list:
-        counts = []
         for n in range(1, n_max + 1):
             # per point: a row of the scan's extended matrix, and its n distances
             used = charge(len(cloud) * (cloud.depth + 1 + max(R * (n - 1), 0) + n), used)
-            counts.append(separated_count(cloud, R, n, eps))
+            # each scan's own refusals, in the order in which the scans would meet them
+            _check_eps(eps)
+            _end_columns(cloud.depth, R, n)
+    curves = []
+    for eps in eps_list:
+        # n_max first: one pass, whose table the other n read
+        counts = [separated_count(cloud, R, n, eps) for n in range(n_max, 0, -1)][::-1]
         if len(set(counts)) == 1:
             curves.append(
                 SeparationCurve(eps, tuple(enumerate(counts, 1)), 0.0, (1, n_max), 0.0)

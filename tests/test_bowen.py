@@ -135,6 +135,60 @@ def scan_row_by_row(cloud, R, n, eps):
     return len(kept), (pref[:, ends] * scale).max(axis=1)
 
 
+def _block_scan(cloud, R, n, eps):
+    """The greedy scan in row blocks at one horizon n, as it was written
+    before one pass settled every n' <= n.
+
+    Each block is tested against the rows kept before it and then settled
+    against itself, with pairs pruned by their newest-coordinate gap at every
+    forward time k < n.
+    """
+    B, S = bowen._BLOCK, bowen._SLICE
+    ends = bowen._end_columns(cloud.depth, R, n)
+    weighted = bowen._extend_forward(cloud, int(ends.max()) - cloud.depth)
+    N, W = weighted.shape
+    present = weighted[:, cloud.depth].copy()
+    weighted *= np.power(2.0, np.arange(W) - (W - 1))
+    newest = weighted[:, ends].T.copy()
+    scale = np.power(2.0, (W - 1) - ends.astype(float))
+    forward = np.flatnonzero(ends > cloud.depth)
+
+    def near(rows, cands):
+        return np.abs(present[rows, None] - present[cands]) <= eps
+
+    def held(rows, cands, pairs):
+        i, j = np.nonzero(pairs)
+        for k in forward:
+            close = np.abs(newest[k, rows[i]] - newest[k, cands[j]]) * scale[k] <= eps
+            i, j = i[close], j[close]
+        out = np.empty(i.size, dtype=bool)
+        for lo in range(0, i.size, S):
+            a, b = rows[i[lo : lo + S]], cands[j[lo : lo + S]]
+            pref = np.cumsum(np.abs(weighted[a] - weighted[b]), axis=1)
+            out[lo : lo + S] = (pref[:, ends] * scale <= eps).all(axis=1)
+        return i[out], j[out]
+
+    kept = np.empty(N, dtype=np.intp)
+    count = 0
+    for lo in range(0, N, B):
+        free = np.arange(lo, min(lo + B, N))
+        for klo in range(0, count, S):
+            if not free.size:
+                break
+            rows = kept[klo : min(klo + S, count)]
+            free = np.delete(free, held(rows, free, near(rows, free))[1])
+        later = np.zeros((free.size, free.size), dtype=bool)
+        later[held(free, free, np.triu(near(free, free), 1))] = True
+        alive = np.ones(free.size, dtype=bool)
+        for c in range(free.size):
+            if alive[c]:
+                alive[c + 1 :] &= ~later[c, c + 1 :]
+        new = free[alive]
+        kept[count : count + new.size] = new
+        count += new.size
+    return count
+
+
 def conflict_masks(sub, R, n, eps):
     """Bitmask adjacency of the closeness graph: edge when eps-close at all k < n."""
     arr = sub.array
@@ -455,6 +509,93 @@ def test_pairs_exactly_eps_apart_count_as_close(R, n):
         assert separated_count(cloud, R, n, eps) == scan_row_by_row(cloud, R, n, eps)[0]
         below = np.nextafter(eps, 0.0)
         assert separated_count(cloud, R, n, below) == scan_row_by_row(cloud, R, n, below)[0]
+
+
+@pytest.mark.parametrize("R", [-2, -1, 0, 1, 2, 3])
+def test_one_pass_table_equals_the_block_scan_at_every_horizon(R):
+    # subclouds that end just before, on and just after a block boundary,
+    # at scales drawn from the pairs' own distances, so ties sit exactly at eps
+    B = bowen._BLOCK
+    cloud = sample_points(1.9, 7, per_branch_cap=4, n_seeds=96)
+    n = 4
+    for size in (B - 1, B, B + 1, 2 * B + 1):
+        sub = cloud.subcloud(size)
+        assert len(sub) == size
+        _, dist = scan_row_by_row(sub, R, n, 1.0)
+        for eps in (*np.quantile(dist, [0.05, 0.3], method="lower"), 0.1):
+            table = bowen._greedy_counts(sub, R, n, eps)
+            want = [_block_scan(sub, R, k, eps) for k in range(1, n + 1)]
+            assert table.tolist() == want, (size, eps)
+
+
+def _count_passes(monkeypatch):
+    calls = []
+    engine = bowen._greedy_counts
+
+    def counted(cloud, R, n, eps):
+        calls.append((R, n, eps))
+        return engine(cloud, R, n, eps)
+
+    monkeypatch.setattr(bowen, "_greedy_counts", counted)
+    return calls
+
+
+def test_a_second_call_reads_the_table(monkeypatch):
+    calls = _count_passes(monkeypatch)
+    cloud = sample_points(2.0, 8, per_branch_cap=4, n_seeds=64)
+    first = separated_count(cloud, 1, 5, 0.1)
+    assert separated_count(cloud, 1, 5, 0.1) == first
+    assert [separated_count(cloud, 1, n, 0.1) for n in range(1, 5)] == [
+        _block_scan(cloud, 1, n, 0.1) for n in range(1, 5)
+    ]
+    assert calls == [(1, 5, 0.1)]
+
+
+def test_a_longer_horizon_scans_again(monkeypatch):
+    calls = _count_passes(monkeypatch)
+    cloud = sample_points(2.0, 8, per_branch_cap=4, n_seeds=64)
+    separated_count(cloud, 1, 3, 0.1)
+    assert separated_count(cloud, 1, 6, 0.1) == _block_scan(cloud, 1, 6, 0.1)
+    separated_count(cloud, 1, 4, 0.1)
+    assert calls == [(1, 3, 0.1), (1, 6, 0.1)]
+
+
+def test_each_power_and_scale_has_its_own_table(monkeypatch):
+    calls = _count_passes(monkeypatch)
+    cloud = sample_points(2.0, 8, per_branch_cap=4, n_seeds=64)
+    for R, eps in ((1, 0.1), (2, 0.1), (1, 0.05), (-1, 0.1)):
+        assert separated_count(cloud, R, 4, eps) == _block_scan(cloud, R, 4, eps)
+    for R, eps in ((1, 0.1), (2, 0.1), (1, 0.05), (-1, 0.1)):
+        separated_count(cloud, R, 4, eps)
+    assert calls == [(1, 4, 0.1), (2, 4, 0.1), (1, 4, 0.05), (-1, 4, 0.1)]
+
+
+def test_a_cloud_array_cannot_be_written():
+    source = sample_points(2.0, 6, per_branch_cap=4, n_seeds=16).array.copy()
+    cloud = PointCloud(2.0, 6, source)
+    with pytest.raises(ValueError, match="read-only"):
+        cloud.array[0, 0] = 0.5
+    source[0, 0] = 0.5  # the caller's array is not the cloud's
+    assert cloud.array[0, 0] != 0.5
+    with pytest.raises(AttributeError):
+        cloud.array = source
+
+
+def test_scan_charges_the_pairs_it_compares(monkeypatch):
+    # one block settled against itself compares 64 * 64 pairs, on top of a
+    # kept table of 16,384 rows at one horizon
+    cloud = sample_points(2.0, 12, 4, 4096)
+    monkeypatch.setenv("ILIM_MAX_NODES", "20000")
+    with pytest.raises(ResourceCapError):
+        separated_count(cloud, -1, 1, 2**-12)
+
+
+def test_curves_refuse_a_shallow_cloud_before_any_scan(monkeypatch):
+    calls = _count_passes(monkeypatch)
+    cloud = sample_points(2.0, 4, per_branch_cap=4, n_seeds=16)
+    with pytest.raises(DepthError, match="shift power -2 over 4 steps needs depth >= 6"):
+        separation_curves(cloud, -2, (0.5, 0.25), n_max=6)
+    assert calls == []
 
 
 def test_two_close_rows_in_one_block_keep_only_the_first():

@@ -462,6 +462,16 @@ def test_resource_cap_exits_three(capsys, monkeypatch):
     assert "resource cap" in err
 
 
+def test_separated_refuses_a_shallow_cloud_before_any_scan(capsys, monkeypatch):
+    # the inverse shift at n = 4 needs depth 6; the first n that fails is named
+    scans = []
+    monkeypatch.setattr(bowen, "_greedy_counts", lambda *a: scans.append(a))
+    code, out, err = run(capsys, "separated", "--slope", "2", "--R", "-2", "--depth", "4",
+                         "--seeds", "16", "--n-max", "6", "--eps", "0.5,0.25")
+    assert (code, out, scans) == (2, "", [])
+    assert err == "error: shift power -2 over 4 steps needs depth >= 6\n"
+
+
 def test_separated_scans_share_one_budget(capsys, monkeypatch):
     # at R = 0 no scan extends the cloud, yet a million of them add up
     monkeypatch.setenv("ILIM_MAX_NODES", "20000")
