@@ -9,25 +9,43 @@ cells and pulling it back p times gives all three properties by
 construction: each pullback divides gaps by the slope, preimages of the
 critical point appear automatically, and the image of a pulled-back cell is
 a cell of the previous level.
+
+A pullback writes both inverse branches straight into one array, already in
+increasing order.  ``refines`` checks the third property between two built
+chains: it reads the fine chain in pieces of ``_PIECE`` links, so what it
+holds stays small whatever the chains' length, and it stops at the first
+piece that holds a bad link.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DepthError, DomainError, charge
 from .inverse_limit import BackwardPoint, _levels, arc_records, projection
-from .maps import MATCH_TOL, TOL, TentMap, _increasing_branches, backward_tree, forward_orbit
+from .maps import MATCH_TOL, TOL, TentMap, backward_tree, forward_orbit
+
+
+def _level(p) -> int:
+    """A chain level as an ``int``: a nonnegative integer, numpy's included,
+    or DomainError.  A bool is refused though Python counts it an integer."""
+    if isinstance(p, (bool, np.bool_)) or not isinstance(p, numbers.Integral):
+        raise DomainError(f"chain level must be an integer, got {p!r}")
+    if p < 0:
+        raise DomainError(f"chain level must be nonnegative, got {p}")
+    return int(p)
 
 
 @dataclass(frozen=True, eq=False)
 class IntervalChain:
     """Sorted breakpoints 0 = b_0 < ... < b_m = top at pullback level p, kept
-    as a read-only float64 array.  A tent slope in (1, 2], a level p >= 0 and
-    at least two finite breakpoints in non-decreasing order, or DomainError."""
+    as a read-only float64 array.  A tent slope in (1, 2], an integer level
+    p >= 0 (kept as ``int``) and at least two finite breakpoints in
+    non-decreasing order, or DomainError."""
 
     slope: float
     index: int
@@ -35,8 +53,7 @@ class IntervalChain:
 
     def __post_init__(self) -> None:
         TentMap(self.slope)  # refuses a slope outside (1, 2], NaN included
-        if not self.index >= 0:
-            raise DomainError(f"chain level must be nonnegative, got {self.index}")
+        object.__setattr__(self, "index", _level(self.index))
         b = np.array(self.breakpoints, dtype=float)
         # finite ends and no decreasing step (a NaN fails the step test) make
         # every breakpoint finite, in one pass over the array
@@ -68,6 +85,10 @@ class IntervalChain:
         }
 
 
+#: links of the fine chain that ``refines`` reads at a time
+_PIECE = 2**15
+
+
 def _dedup(a: np.ndarray) -> np.ndarray:
     """Drop the entries of the non-decreasing ``a`` within TOL of their predecessor."""
     keep = np.empty(a.size, dtype=bool)
@@ -91,8 +112,10 @@ def _base_grid(tent: TentMap, eps: float) -> np.ndarray:
 
 def _pullback(tent: TentMap, breaks: np.ndarray) -> np.ndarray:
     """Preimages of the increasing breakpoints, which lie in [0, top] and
-    include 0.  They come in increasing order (``_increasing_branches``), and
-    the clip keeps it, so only near-duplicates are dropped; nothing is sorted.
+    include 0, in increasing order: the left branch ``y/s``, then the right
+    one ``1 - y/s`` written reversed straight into its half of the output (the
+    order of ``_increasing_branches``, with no copy of it).  The clip keeps the
+    order, so only near-duplicates are dropped; nothing is sorted.
 
     Left preimages lie in [0, top/s].  Right ones lie in [1/2, top] up to
     round-off for breakpoints at or above the second image; the rest, and
@@ -100,7 +123,10 @@ def _pullback(tent: TentMap, breaks: np.ndarray) -> np.ndarray:
     these onto top, so both ends are in the array, and the extra copies of
     top are dropped with the other duplicates.
     """
-    pre = _increasing_branches(tent, breaks)
+    pre = np.empty(2 * breaks.size)
+    left, right = pre[: breaks.size], pre[breaks.size :]
+    np.divide(breaks, tent.slope, out=left)
+    np.subtract(1.0, left[::-1], out=right)
     return _dedup(np.clip(pre, 0.0, tent.top, out=pre))
 
 
@@ -111,8 +137,7 @@ def build_chain(s: float, p: int, eps: float) -> IntervalChain:
     them by the slope, so the projected links on the inverse limit have
     diameter below eps once 2**-p is small against eps (see limit_mesh).
     """
-    if p < 0:
-        raise DomainError("chain level must be nonnegative")
+    p = _level(p)
     if not 0 < eps < math.inf:
         raise DomainError(f"eps must be positive and finite, got {eps}")
     tent = TentMap(s)
@@ -162,7 +187,17 @@ def link_of(chain: IntervalChain, x: BackwardPoint) -> int:
 
 
 def refines(fine: IntervalChain, coarse: IntervalChain) -> bool:
-    """True when every fine link's image lies in one coarse closed link, to TOL."""
+    """True when every fine link's image lies in one coarse closed link, to TOL.
+
+    The fine chain is read in pieces of ``_PIECE`` links, so each piece's
+    images and bounds stay in cache, and the first piece holding a bad link
+    ends the walk.  The images are ``tent.image`` of the breakpoints, as
+    ``forward_orbit`` computes them, and the two nodes per breakpoint that
+    its one-step orbit held are charged before anything is read.  A piece
+    on one side of the critical point maps monotonically, so its bounds are
+    the shifted images; only the piece holding c takes the minimum, the
+    maximum and the fold to the top.
+    """
     if fine.slope != coarse.slope:
         raise DomainError("chains live over different slopes")
     if fine.index != coarse.index + 1:
@@ -171,16 +206,30 @@ def refines(fine: IntervalChain, coarse: IntervalChain) -> bool:
         )
     tent = TentMap(fine.slope)
     fb, cb = fine.breakpoints, coarse.breakpoints
-    image = forward_orbit(tent, fb, 1)[:, 1]
-    lo = np.minimum(image[:-1], image[1:])
-    hi = np.maximum(image[:-1], image[1:])
-    # a link straddling the critical point folds; its image tops out at top
-    straddles = (fb[:-1] < tent.critical - TOL) & (fb[1:] > tent.critical + TOL)
-    hi[straddles] = tent.top
-    j = np.searchsorted(cb, 0.5 * (lo + hi)) - 1
-    j = np.clip(j, 0, len(cb) - 2)
-    ok = (lo >= cb[j] - TOL) & (hi <= cb[j + 1] + TOL)
-    return bool(ok.all())
+    charge(2 * fb.size, 0)
+    c = tent.critical
+    for start in range(0, fb.size - 1, _PIECE):
+        b = fb[start : start + _PIECE + 1]
+        image = tent.image(b)
+        if b[-1] <= c:
+            lo, hi = image[:-1], image[1:]
+        elif b[0] >= c:
+            lo, hi = image[1:], image[:-1]
+        else:
+            lo = np.minimum(image[:-1], image[1:])
+            hi = np.maximum(image[:-1], image[1:])
+            # a link straddling the critical point folds; its image tops out at top
+            hi[(b[:-1] < c - TOL) & (b[1:] > c + TOL)] = tent.top
+        mid = 0.5 * (lo + hi)
+        # each mid has as many coarse breakpoints below it as those below
+        # mid.min(), plus those below it in the slice up to mid.max()'s place
+        a, z = np.searchsorted(cb, (mid.min(), mid.max()))
+        j = np.searchsorted(cb[a:z], mid)
+        j += a - 1
+        np.clip(j, 0, cb.size - 2, out=j)
+        if not ((lo >= cb[j] - TOL) & (hi <= cb[j + 1] + TOL)).all():
+            return False
+    return True
 
 
 def adjacency_ok(chain: IntervalChain) -> bool:

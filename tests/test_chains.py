@@ -30,7 +30,7 @@ from ilim.inverse_limit import (
     salient_positions,
     shift,
 )
-from ilim.maps import MATCH_TOL, TentMap, critical_orbit, forward_orbit
+from ilim.maps import MATCH_TOL, TOL, TentMap, critical_orbit, forward_orbit
 
 SLOPES = [1.6, 1.8, 2.0]
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0  # the critical point has period 3
@@ -147,6 +147,26 @@ def test_chain_refuses_a_negative_level():
     # limit_mesh read 1.8 here: an empty coefficient sum and a tail of 2 * s/2
     with pytest.raises(DomainError, match="level"):
         IntervalChain(1.8, -1, (0.0, 0.9))
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, True, False, np.True_, "2", None])
+def test_chain_refuses_a_level_that_is_not_an_integer(p):
+    # 1.5 and True were accepted, and build_chain(1.8, 2.5, 0.1) raised a bare TypeError
+    with pytest.raises(DomainError, match="level must be an integer"):
+        IntervalChain(1.8, p, (0.0, 0.5, 0.9))
+    with pytest.raises(DomainError, match="level must be an integer"):
+        build_chain(1.8, p, 0.1)
+    with pytest.raises(DomainError, match="level must be an integer"):
+        build_chain(1.8, 2.5, 0.1)
+
+
+@pytest.mark.parametrize("p", [np.int64(3), np.int32(3), np.uint8(3)])
+def test_chain_keeps_a_numpy_integer_level_as_int(p):
+    ch = build_chain(1.8, p, 0.2)
+    assert type(ch.index) is int and ch.index == 3
+    assert ch.breakpoints.tobytes() == build_chain(1.8, 3, 0.2).breakpoints.tobytes()
+    assert type(IntervalChain(1.8, p, (0.0, 0.9)).index) is int
+    assert ch.to_json()["p"] == 3
 
 
 @pytest.mark.parametrize("s", [math.nan, 1.0, 2.5])
@@ -401,6 +421,149 @@ def test_chain_is_frozen(s, p, eps):
 def test_frozen_chains_refine(s):
     assert refines(build_chain(s, 7, 0.1), build_chain(s, 6, 0.1))
     assert refines(build_chain(s, 14, 0.02), build_chain(s, 13, 0.04))
+
+
+def _searched_refines(fine, coarse):
+    """Oracle: ``refines`` as it was, one whole-array pass over the fine chain
+    with one ``searchsorted`` into the whole coarse chain."""
+    tent = TentMap(fine.slope)
+    fb, cb = fine.breakpoints, coarse.breakpoints
+    image = forward_orbit(tent, fb, 1)[:, 1]
+    lo = np.minimum(image[:-1], image[1:])
+    hi = np.maximum(image[:-1], image[1:])
+    straddles = (fb[:-1] < tent.critical - TOL) & (fb[1:] > tent.critical + TOL)
+    hi[straddles] = tent.top
+    j = np.searchsorted(cb, 0.5 * (lo + hi)) - 1
+    j = np.clip(j, 0, len(cb) - 2)
+    ok = (lo >= cb[j] - TOL) & (hi <= cb[j + 1] + TOL)
+    return bool(ok.all())
+
+
+def _frozen_eps(s, p):
+    return next(eps for (t, q, eps) in FROZEN_CHAINS if (t, q) == (s, p))
+
+
+@pytest.mark.parametrize("s", sorted({s for s, _, _ in FROZEN_CHAINS}))
+@pytest.mark.parametrize("p", [0, 6, 13])
+def test_refines_is_the_searched_refines_on_the_frozen_levels(s, p):
+    # the frozen eps pairing refines; a fine chain on a base grid twice as
+    # coarse as the coarse chain's does not
+    coarse = build_chain(s, p, _frozen_eps(s, p))
+    fine = build_chain(s, p + 1, _frozen_eps(s, p + 1))
+    assert refines(fine, coarse) is _searched_refines(fine, coarse) is True
+    wide = build_chain(s, p + 1, 2.0 * _frozen_eps(s, p))
+    assert refines(wide, coarse) is _searched_refines(wide, coarse) is False
+
+
+def _edited(rng, b, top):
+    """The sorted ``b`` with a few breakpoints added at or within TOL of c,
+    repeated, or drawn from [-0.3, 1.3], or dropped."""
+    b = list(b)
+    for _ in range(rng.integers(0, 4)):
+        kind = rng.integers(0, 5)
+        if kind == 0:
+            b.append(0.5 + rng.choice([0.0, -0.5, 0.5, -1.0, 1.0, -2.0, 2.0]) * TOL)
+        elif kind == 1:
+            b.append(b[rng.integers(len(b))])
+        elif kind == 2:
+            b.append(rng.uniform(-0.3, 1.3))
+        elif kind == 3 and len(b) > 2:
+            del b[rng.integers(len(b))]
+        else:
+            b.append(rng.uniform(0.0, top))
+    return np.sort(np.asarray(b, dtype=float))
+
+
+def _random_pairs(seed, count):
+    """Chain pairs whose answers sit near the edge: built pairs with a few
+    breakpoints edited, and short random sorted chains, single links among them."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        s = float(rng.choice([1.5, 1.8, 2.0, GOLDEN, PERIOD_4]))
+        p = int(rng.integers(0, 4))
+        if i % 3:
+            eps = float(rng.choice([0.3, 0.2, 0.1]))
+            fb = build_chain(s, p + 1, eps / 2.0).breakpoints
+            cb = build_chain(s, p, eps).breakpoints
+            fb, cb = _edited(rng, fb, s / 2.0), _edited(rng, cb, s / 2.0)
+        else:
+            fb = np.sort(rng.choice(rng.uniform(-0.3, 1.3, 6), rng.integers(2, 9)))
+            cb = np.sort(rng.choice(rng.uniform(-0.3, 1.3, 6), rng.integers(2, 9)))
+            if rng.integers(0, 2):
+                fb = _edited(rng, fb, s / 2.0)
+        yield IntervalChain(s, p + 1, fb), IntervalChain(s, p, cb)
+
+
+@pytest.mark.parametrize("piece", [1, 3, 2**15])
+def test_refines_is_the_searched_refines_on_random_chains(monkeypatch, piece):
+    # pieces of 1 and 3 links put piece boundaries all through these chains
+    monkeypatch.setattr(chains, "_PIECE", piece)
+    answers = []
+    for fine, coarse in _random_pairs(piece, 600):
+        want = _searched_refines(fine, coarse)
+        assert refines(fine, coarse) is want, (fine.breakpoints, coarse.breakpoints)
+        answers.append(want)
+    assert 100 < sum(answers) < len(answers) - 100
+
+
+def test_refines_reads_single_links_and_breakpoints_at_c():
+    c, top = 0.5, 0.9
+    for fb in [(0.0, 1.0), (0.2, 0.3), (0.5, 0.7), (0.4, 0.5), (0.5 - TOL, 0.5 + TOL),
+               (0.5 - 2 * TOL, 0.5 + 2 * TOL), (-0.2, 1.2), (0.5, 0.5), (0.1, 0.5, 0.5, 0.9)]:
+        for cb in [(0.0, top), (0.0, 0.5, top), (0.0, 0.36, 0.36, top), (-0.5, 0.3, 1.5),
+                   (0.0, top - 2 * TOL), (0.0, c * 1.8 - TOL / 2, top)]:
+            fine, coarse = IntervalChain(1.8, 1, fb), IntervalChain(1.8, 0, cb)
+            assert refines(fine, coarse) is _searched_refines(fine, coarse), (fb, cb)
+
+
+def _fold_tree_pair():
+    """The chain pair of the fold_tree benchmark at its smallest eps."""
+    return build_chain(1.8, 14, 0.015), build_chain(1.8, 13, 0.03)
+
+
+def _pulled_back_pair():
+    """A fold_tree-sized fine chain over a coarse chain on the same base grid:
+    every fine breakpoint maps onto a coarse one."""
+    return build_chain(1.8, 14, 0.015), build_chain(1.8, 13, 0.015)
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last", "boundary", "after boundary"])
+def test_refines_finds_one_bad_link_in_any_piece(where):
+    fine, coarse = _pulled_back_pair()
+    piece = chains._PIECE
+    assert fine.n_links > 8 * piece and refines(fine, coarse)
+    # dropping a breakpoint joins two links, and the image of the joined link
+    # has the dropped breakpoint's image, a coarse breakpoint, inside it
+    drop = {
+        "first": 17,
+        "middle": 5 * piece + 1234,
+        "last": fine.n_links - 3,
+        "boundary": piece,  # the joined link is the last of the first piece
+        "after boundary": piece + 1,  # and here the first of the second
+    }[where]
+    bad = IntervalChain(1.8, 14, np.delete(fine.breakpoints, drop))
+    assert refines(bad, coarse) is _searched_refines(bad, coarse) is False
+
+
+def test_refines_stops_at_the_first_piece_that_fails(monkeypatch):
+    fine, coarse = _pulled_back_pair()
+    bad = IntervalChain(1.8, 14, np.delete(fine.breakpoints, 17))
+    calls = []
+    image = TentMap.image
+    monkeypatch.setattr(TentMap, "image", lambda self, x: calls.append(x.size) or image(self, x))
+    assert not refines(bad, coarse)
+    assert calls == [chains._PIECE + 1]
+
+
+def test_refines_is_charged_the_image_column():
+    fine, coarse = _fold_tree_pair()
+    need = 2 * len(fine.breakpoints)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("ILIM_MAX_NODES", str(need))
+        assert refines(fine, coarse)
+        mp.setenv("ILIM_MAX_NODES", str(need - 1))
+        with pytest.raises(ResourceCapError):
+            refines(fine, coarse)
 
 
 # (M, checks, passed, digest of the failure lines) of verify_plevel_alignment,
