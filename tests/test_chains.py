@@ -555,15 +555,16 @@ def test_refines_stops_at_the_first_piece_that_fails(monkeypatch):
     assert calls == [chains._PIECE + 1]
 
 
-def test_refines_is_charged_the_image_column():
+def test_refines_is_charged_the_image_column(monkeypatch):
+    # two nodes per fine breakpoint, as the one-step orbit of the whole chain;
+    # the chains are built before the cap is set
     fine, coarse = _fold_tree_pair()
     need = 2 * len(fine.breakpoints)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("ILIM_MAX_NODES", str(need))
-        assert refines(fine, coarse)
-        mp.setenv("ILIM_MAX_NODES", str(need - 1))
-        with pytest.raises(ResourceCapError):
-            refines(fine, coarse)
+    monkeypatch.setenv("ILIM_MAX_NODES", str(need))
+    assert refines(fine, coarse)
+    monkeypatch.setenv("ILIM_MAX_NODES", str(need - 1))
+    with pytest.raises(ResourceCapError):
+        refines(fine, coarse)
 
 
 # (M, checks, passed, digest of the failure lines) of verify_plevel_alignment,
