@@ -1,20 +1,21 @@
 """Paired benchmark runs of a change against its parent commit.
 
-    python3 scripts/bench_pairs.py --pr 25 --base PARENT [--head HEAD] \
-        [--pairs 10] [--seconds 36] [--first-seed 101] \
-        [--workloads bowen_sweep,fold_tree,cli_mix]
+    python3 scripts/bench_pairs.py --pr 25 --base PARENT [--head HEAD] [--first-seed 101]
 
 Run from a git checkout of the project.  Both commits are extracted with
 ``git archive`` into one temporary directory, so each side runs from its own
-clean copy and uncommitted edits are never measured.  For every workload,
-pair i runs ``python3 bench/run.py --workload W --seed S --seconds T
---trace 0`` once on each side, seed S = first seed + i, the base side first
-in even pairs and the head side first in odd ones, one run at a time.
+clean copy and uncommitted edits are never measured.  The command, the run
+length, the workloads and the direction of each end-to-end metric are read
+from the parent's ``BENCHMARK.json``; the change must declare the same
+command, run length and workloads.  For every workload, pair i of ``PAIRS``
+runs the benchmark command with ``--workload W --seed S --seconds T --trace
+0`` once on each side, seed S = first seed + i, the base side first in even
+pairs and the head side first in odd ones, one run at a time.
 
-Writes ``BENCH_<pr>.json`` at the repository root: every run's end-to-end
-metrics and per-operation medians, and per workload and metric each side's
-median and quartiles, the ratio of the medians and the pairs the head won.
-The direction of each metric is read from ``BENCHMARK.json``.
+Writes ``BENCH_<pr>.json`` at the repository root: every run's result and
+per-operation medians, and per workload each side's run and failure counts
+and, per metric, each side's median and quartiles, the ratio of the medians
+and the pairs the head won, tied and lost.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("base", "head")
+#: pairs run per workload
+PAIRS = 10
 
 
 def spread(values: list[float]) -> dict:
@@ -40,39 +43,68 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: each side's spread, the head's median over the base's, and
-    the pairs in which the head was strictly better, tied, or worse.
+def usable(run: dict) -> bool:
+    """A run that finished and checked its outputs correct; only these are scored."""
+    return bool(run.get("metrics")) and run.get("correct") is True
 
-    ``runs`` holds dicts with ``pair``, ``side`` ("base" or "head") and
-    ``metrics`` (name -> value); a run without metrics failed and is left
-    out, and so is its pair from the win count.  ``better`` maps each metric
-    to "higher" or "lower".
+
+def _failed_share(run: dict) -> float:
+    return run["failed"] / run["attempted"] if run["attempted"] else 0.0
+
+
+def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+    """Each side's run and failure counts, and per metric each side's spread,
+    the head's median over the base's, and the pairs the head won, tied, lost
+    or could not be scored in.
+
+    ``runs`` holds dicts with ``pair``, ``side`` ("base" or "head"),
+    ``correct``, ``attempted``, ``failed`` and ``metrics`` (name -> value);
+    a run that failed has no metrics.  Only usable runs enter a side's
+    spread.  A pair whose base run is not usable is unscored.  Otherwise the
+    head loses it outright when its own run is not usable or failed a larger
+    share of its operations than the base run, and else the metric decides.
+    ``better`` maps each metric to "higher" or "lower".
     """
     by_pair: dict[int, dict[str, dict]] = {}
     for run in runs:
-        if run.get("metrics"):
-            by_pair.setdefault(run["pair"], {})[run["side"]] = run["metrics"]
-    out = {}
+        by_pair.setdefault(run["pair"], {})[run["side"]] = run
+    sides = {}
+    for side in SIDES:
+        mine = [run for run in runs if run["side"] == side]
+        sides[side] = {
+            "runs": len(mine),
+            "usable": sum(map(usable, mine)),
+            "attempted": sum(run.get("attempted", 0) for run in mine),
+            "failed": sum(run.get("failed", 0) for run in mine),
+        }
+    metrics = {}
     for name, direction in better.items():
-        sides = {side: [m[side][name] for m in by_pair.values() if name in m.get(side, {})]
-                 for side in SIDES}
-        if not all(sides.values()):
+        values = {side: [run["metrics"][name] for run in runs
+                         if run["side"] == side and usable(run) and name in run["metrics"]]
+                  for side in SIDES}
+        if not all(values.values()):
             continue
         sign = 1 if direction == "higher" else -1
-        gains = [sign * (m["head"][name] - m["base"][name]) for m in by_pair.values()
-                 if all(name in m.get(side, {}) for side in SIDES)]
-        base, head = spread(sides["base"]), spread(sides["head"])
-        out[name] = {
+        counts = dict.fromkeys(("wins", "ties", "losses", "unscored"), 0)
+        for pair in by_pair.values():
+            base, head = pair.get("base", {}), pair.get("head", {})
+            if not usable(base) or name not in base["metrics"]:
+                counts["unscored"] += 1
+            elif (not usable(head) or name not in head["metrics"]
+                  or _failed_share(head) > _failed_share(base)):
+                counts["losses"] += 1
+            else:
+                gain = sign * (head["metrics"][name] - base["metrics"][name])
+                counts["wins" if gain > 0 else "ties" if gain == 0 else "losses"] += 1
+        lo, hi = spread(values["base"]), spread(values["head"])
+        metrics[name] = {
             "better": direction,
-            "base": base,
-            "head": head,
-            "head_over_base": head["median"] / base["median"] if base["median"] else None,
-            "wins": sum(g > 0 for g in gains),
-            "ties": sum(g == 0 for g in gains),
-            "losses": sum(g < 0 for g in gains),
+            "base": lo,
+            "head": hi,
+            "head_over_base": hi["median"] / lo["median"] if lo["median"] else None,
+            **counts,
         }
-    return out
+    return {"sides": sides, "metrics": metrics}
 
 
 def extract(rev: str, into: str) -> str:
@@ -88,9 +120,9 @@ def extract(rev: str, into: str) -> str:
     return sha
 
 
-def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: str, command: list[str], workload: str, seed: int, seconds: float) -> dict:
     """One benchmark run in ``tree``: its result line and per-operation medians."""
-    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+    cmd = [*command, "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
@@ -109,40 +141,47 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
+def _benchmark(tree: str) -> dict:
+    with open(os.path.join(tree, "BENCHMARK.json")) as fh:
+        return json.load(fh)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--pr", type=int, required=True)
     ap.add_argument("--base", required=True, help="the parent commit")
     ap.add_argument("--head", default="HEAD", help="the change's commit")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=36.0)
     ap.add_argument("--first-seed", type=int, default=101)
-    ap.add_argument("--workloads", default="bowen_sweep,fold_tree,cli_mix")
     args = ap.parse_args(argv)
 
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
-    report = {
-        "pr": args.pr,
-        "command": f"python3 bench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0",
-        "pairs": args.pairs,
-        "first_seed": args.first_seed,
-        "order": "base first in even pairs, head first in odd pairs",
-        "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
-                    "platform": platform.platform()},
-        "workloads": {},
-    }
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {side: os.path.join(tmp, side) for side in SIDES}
-        report["base"] = extract(args.base, trees["base"])
-        report["head"] = extract(args.head, trees["head"])
-        for workload in args.workloads.split(","):
+        shas = {side: extract(getattr(args, side), trees[side]) for side in SIDES}
+        bench = _benchmark(trees["base"])
+        fixed = ("command", "run_seconds", "workloads")
+        if any(_benchmark(trees["head"])[key] != bench[key] for key in fixed):
+            raise SystemExit("the two commits declare different benchmarks")
+        seconds = bench["run_seconds"]
+        better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+        report = {
+            "pr": args.pr,
+            "command": " ".join(bench["command"])
+            + f" --workload W --seed S --seconds {seconds:g} --trace 0",
+            "pairs": PAIRS,
+            "first_seed": args.first_seed,
+            "order": "base first in even pairs, head first in odd pairs",
+            "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
+                        "platform": platform.platform()},
+            **shas,
+            "workloads": {},
+        }
+        for workload in (w["name"] for w in bench["workloads"]):
             runs = []
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 seed = args.first_seed + i
                 for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                     run = {"pair": i, "seed": seed, "side": side,
-                           **run_once(trees[side], workload, seed, args.seconds)}
+                           **run_once(trees[side], bench["command"], workload, seed, seconds)}
                     runs.append(run)
                     shown = {k: round(v, 6) for k, v in run.get("metrics", {}).items()}
                     print(f"{workload} pair {i} {side}: {shown or run}", flush=True)

@@ -11,10 +11,10 @@ critical point appear automatically, and the image of a pulled-back cell is
 a cell of the previous level.
 
 A pullback writes both inverse branches straight into one array, already in
-increasing order.  ``refines`` checks the third property between two built
-chains: it reads the fine chain in pieces of ``_PIECE`` links, so what it
-holds stays small whatever the chains' length, and it stops at the first
-piece that holds a bad link.
+increasing order, by the map's own formula.  ``refines`` checks the third
+property between two built chains: it reads the fine chain in pieces of
+``_PIECE`` links, so what it holds stays small whatever the chains' length,
+and it stops at the first piece that holds a bad link.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DepthError, DomainError, charge
 from .inverse_limit import BackwardPoint, _levels, arc_records, projection
-from .maps import MATCH_TOL, TOL, TentMap, backward_tree, forward_orbit
+from .maps import MATCH_TOL, TOL, TentMap, _increasing_branches, backward_tree, forward_orbit
 
 
 def _level(p) -> int:
@@ -112,10 +112,9 @@ def _base_grid(tent: TentMap, eps: float) -> np.ndarray:
 
 def _pullback(tent: TentMap, breaks: np.ndarray) -> np.ndarray:
     """Preimages of the increasing breakpoints, which lie in [0, top] and
-    include 0, in increasing order: the left branch ``y/s``, then the right
-    one ``1 - y/s`` written reversed straight into its half of the output (the
-    order of ``_increasing_branches``, with no copy of it).  The clip keeps the
-    order, so only near-duplicates are dropped; nothing is sorted.
+    include 0, in increasing order as ``_increasing_branches`` writes them,
+    with no reversed copy of the right branch.  The clip keeps the order, so
+    only near-duplicates are dropped; nothing is sorted.
 
     Left preimages lie in [0, top/s].  Right ones lie in [1/2, top] up to
     round-off for breakpoints at or above the second image; the rest, and
@@ -123,10 +122,7 @@ def _pullback(tent: TentMap, breaks: np.ndarray) -> np.ndarray:
     these onto top, so both ends are in the array, and the extra copies of
     top are dropped with the other duplicates.
     """
-    pre = np.empty(2 * breaks.size)
-    left, right = pre[: breaks.size], pre[breaks.size :]
-    np.divide(breaks, tent.slope, out=left)
-    np.subtract(1.0, left[::-1], out=right)
+    pre = _increasing_branches(tent, breaks)
     return _dedup(np.clip(pre, 0.0, tent.top, out=pre))
 
 
@@ -193,10 +189,9 @@ def refines(fine: IntervalChain, coarse: IntervalChain) -> bool:
     images and bounds stay in cache, and the first piece holding a bad link
     ends the walk.  The images are ``tent.image`` of the breakpoints, as
     ``forward_orbit`` computes them, and the two nodes per breakpoint that
-    its one-step orbit held are charged before anything is read.  A piece
-    on one side of the critical point maps monotonically, so its bounds are
-    the shifted images; only the piece holding c takes the minimum, the
-    maximum and the fold to the top.
+    its one-step orbit held are charged before anything is read.  Each
+    piece searches the coarse chain only between the places of its smallest
+    and largest midpoint.
     """
     if fine.slope != coarse.slope:
         raise DomainError("chains live over different slopes")
@@ -211,15 +206,10 @@ def refines(fine: IntervalChain, coarse: IntervalChain) -> bool:
     for start in range(0, fb.size - 1, _PIECE):
         b = fb[start : start + _PIECE + 1]
         image = tent.image(b)
-        if b[-1] <= c:
-            lo, hi = image[:-1], image[1:]
-        elif b[0] >= c:
-            lo, hi = image[1:], image[:-1]
-        else:
-            lo = np.minimum(image[:-1], image[1:])
-            hi = np.maximum(image[:-1], image[1:])
-            # a link straddling the critical point folds; its image tops out at top
-            hi[(b[:-1] < c - TOL) & (b[1:] > c + TOL)] = tent.top
+        lo = np.minimum(image[:-1], image[1:])
+        hi = np.maximum(image[:-1], image[1:])
+        # a link straddling the critical point folds; its image tops out at top
+        hi[(b[:-1] < c - TOL) & (b[1:] > c + TOL)] = tent.top
         mid = 0.5 * (lo + hi)
         # each mid has as many coarse breakpoints below it as those below
         # mid.min(), plus those below it in the slice up to mid.max()'s place

@@ -71,12 +71,14 @@ class TentMap:
         """The map on an array, each value as ``__call__`` computes it."""
         return np.minimum(self.slope * x, self.slope * (1.0 - x))
 
-    def branches(self, y: np.ndarray) -> np.ndarray:
-        """Both inverse branches of the values ``y``: ``y/s``, then ``1 - y/s``."""
+    def branches(self, y: np.ndarray, reverse_right: bool = False) -> np.ndarray:
+        """Both inverse branches of the values ``y``: ``y/s``, then ``1 - y/s``,
+        the right one written back to front when ``reverse_right``."""
         n = np.size(y)
         out = np.empty(2 * n)
-        np.divide(y, self.slope, out=out[:n])
-        np.subtract(1.0, out[:n], out=out[n:])
+        left, right = out[:n], out[n:][::-1] if reverse_right else out[n:]
+        np.divide(y, self.slope, out=left)
+        np.subtract(1.0, left, out=right)
         return out
 
 
@@ -117,12 +119,13 @@ class QuadraticMap:
         """The map on an array, each value as ``__call__`` computes it."""
         return 1.0 - self.parameter * x * x
 
-    def branches(self, y: np.ndarray) -> np.ndarray:
+    def branches(self, y: np.ndarray, reverse_right: bool = False) -> np.ndarray:
         """Both inverse branches of the values ``y <= 1``: ``-r``, then ``r``,
-        with ``r = sqrt((1 - y)/a)``."""
+        with ``r = sqrt((1 - y)/a)``, the right one written back to front when
+        ``reverse_right``."""
         n = np.size(y)
         out = np.empty(2 * n)
-        r = out[n:]
+        r = out[n:][::-1] if reverse_right else out[n:]
         np.subtract(1.0, y, out=r)
         with np.errstate(over="ignore"):  # a subnormal a: the overflow leaves the domain
             np.divide(r, self.parameter, out=r)
@@ -179,11 +182,9 @@ def _increasing_branches(map_: UnimodalMap, y: np.ndarray) -> np.ndarray:
     """Both inverse branches of the increasing values ``y``, in increasing
     order: the left branch as ``branches`` gives it, then the right one
     reversed.  The left branch of an increasing array increases, the right one
-    decreases, and every right preimage lies at or above every left one."""
-    out = map_.branches(y)
-    right = out[np.size(y) :]
-    right[:] = right[::-1]  # numpy copies an overlapping operand first
-    return out
+    decreases, and every right preimage lies at or above every left one.  The
+    right branch is written reversed in place, so no copy of it is made."""
+    return map_.branches(y, reverse_right=True)
 
 
 def backward_tree(map_: UnimodalMap, depth: int) -> Iterator[np.ndarray]:
